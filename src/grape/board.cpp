@@ -22,7 +22,7 @@ std::string capacity_message(std::size_t board, std::size_t requested,
 /// registers do. Double round-trip precision (2^53) is far above any
 /// healthy count; this is a diagnostic path (self-test) either way.
 std::int64_t scale_count(std::int64_t count, double gain) {
-  constexpr double kMax = 9.0e18;  // FixedAccumulator's saturation rail
+  constexpr auto kMax = static_cast<double>(math::kAccumulatorRail);
   double scaled = std::nearbyint(static_cast<double>(count) * gain);
   if (scaled > kMax) scaled = kMax;
   if (scaled < -kMax) scaled = -kMax;

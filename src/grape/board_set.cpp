@@ -24,23 +24,6 @@ const char* board_span_name(std::size_t b) {
   return b < kBoardSpanNames.size() ? kBoardSpanNames[b] : "board8plus";
 }
 
-/// Exact integer merge with the registers' saturation semantics: two
-/// healthy counts are each below FixedAccumulator's ±9.0e18 rail, but
-/// their sum can pass int64 max (~9.22e18), so the add pre-checks and
-/// clamps to the rail instead of overflowing (UB).
-std::int64_t saturating_add(std::int64_t a, std::int64_t b, bool& saturated) {
-  constexpr auto kMax = static_cast<std::int64_t>(9.0e18);
-  if (b > 0 && a > kMax - b) {
-    saturated = true;
-    return kMax;
-  }
-  if (b < 0 && a < -kMax - b) {
-    saturated = true;
-    return -kMax;
-  }
-  return a + b;
-}
-
 }  // namespace
 
 BoardSet::BoardSet(const SystemConfig& config) : cfg_(config) {
@@ -140,9 +123,9 @@ std::size_t BoardSet::run(std::span<const Vec3d> i_pos,
       const RawForce& src = sc.raw[i];
       bool overflowed = false;
       for (std::size_t c = 0; c < 3; ++c) {
-        dst.acc[c] = saturating_add(dst.acc[c], src.acc[c], overflowed);
+        dst.acc[c] = math::saturating_add(dst.acc[c], src.acc[c], overflowed);
       }
-      dst.pot = saturating_add(dst.pot, src.pot, overflowed);
+      dst.pot = math::saturating_add(dst.pot, src.pot, overflowed);
       dst.saturated = dst.saturated || src.saturated || overflowed;
     }
   }

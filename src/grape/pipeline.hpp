@@ -49,8 +49,10 @@ struct JWord {
 /// An i-particle resident in a pipeline: quantized coordinates and the
 /// fixed-point force/potential accumulators. Every backend accumulates
 /// in the fixed-point registers (the Native backend on a finer quantum —
-/// see kNativeAccumulatorExtraBits), so per-interaction contributions
-/// commute exactly and multi-board partial sums merge bitwise.
+/// see kNativeAccumulatorExtraBits). Each contribution is rounded to an
+/// integer count on its own and the counts add in exact int64
+/// arithmetic, so contributions commute at any magnitude below the
+/// saturation rail and multi-board partial sums merge bitwise.
 struct IState {
   math::Fixed20 x[3] = {};
   Vec3d x_exact{};  ///< used only when exact_arithmetic is on
@@ -104,8 +106,12 @@ inline constexpr int kAccumulatorGuardBits = 34;
 /// al. 2003) and the reason --boards is bitwise-invariant for Native
 /// too. The rounding noise (~2^-40 of the force scale per interaction)
 /// sits ~4 decades below the coordinate-quantization floor the probe
-/// measures, and the remaining headroom (~2^23 above the expected
-/// per-call maximum) keeps saturation unreachable for sane windows.
+/// measures. The price is 6 bits of headroom: the guard range above the
+/// expected per-call maximum shrinks to ~2^23, and a dense enough call
+/// can still reach the rail — a direct sum over a uniform ball of
+/// N = 2,159,038 puts the potential count near its centre at 2^62.95,
+/// against the 9e18 ~ 2^62.96 rail (saturation is flagged, see
+/// RawForce::saturated).
 inline constexpr int kNativeAccumulatorExtraBits = 6;
 
 /// Derive the accumulator quanta from the coordinate window and the mass
@@ -143,9 +149,24 @@ class Pipeline {
   /// vectorize. For the BitExact backend this applies the identical
   /// per-interaction operations in the identical accumulation order as
   /// repeated interact() calls, so the result is bitwise-identical
-  /// (tests/grape_backend_test.cpp pins this across batch shapes).
+  /// (tests/grape_backend_test.cpp pins this across batch shapes). The
+  /// Native backend runs the AVX2 kernel where native_simd() holds,
+  /// bitwise-identical to interact_batch_scalar.
   void interact_batch(IState& i_state, const JWord* j,
                       std::size_t count) const;
+
+  /// interact_batch without the SIMD dispatch: the portable kernels
+  /// (batched lns, scalar Native, exact). The 4-wide AVX2 Native kernel
+  /// interact_batch picks on hosts that have it is pinned bitwise to
+  /// this one (tests/grape_backend_test.cpp).
+  void interact_batch_scalar(IState& i_state, const JWord* j,
+                             std::size_t count) const;
+
+  /// True when interact_batch runs the Native backend on the AVX2
+  /// kernel: an x86-64 host with AVX2, and position_bits <= 50 so every
+  /// code difference converts to double exactly through the kernel's
+  /// 1.5 * 2^52 bias.
+  [[nodiscard]] bool native_simd() const noexcept { return native_simd_; }
 
   /// Lane count of the batched kernel's inner loops (a SIMD-register
   /// width worth of independent interactions, not a hardware parameter).
@@ -181,6 +202,7 @@ class Pipeline {
   PipelineScaling scaling_;
   math::FixedPointCodec codec_;
   double eps2_ = 0.0;
+  bool native_simd_ = false;
 
   void interact_exact(IState& i_state, const JWord& j) const;
   void interact_batch_lns(IState& i_state, const JWord* j,

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -81,9 +82,33 @@ class FixedPointCodec {
   std::int64_t min_code_ = 0;
 };
 
-/// Wide fixed-point accumulator: the force sum is accumulated as an integer
-/// multiple of a fixed quantum, exactly as in the hardware's accumulator
-/// registers. Overflow saturates (and is observable for diagnostics).
+/// Saturation rail of the 64-bit accumulator registers, in counts of
+/// the quantum (just below 2^63 ~ 9.22e18).
+inline constexpr std::int64_t kAccumulatorRail = 9'000'000'000'000'000'000;
+
+/// Exact integer add of two accumulator counts with the registers'
+/// saturation semantics: a true sum beyond the ±kAccumulatorRail rail
+/// clamps to the rail and sets `saturated` instead of wrapping.
+/// `a` must already lie on or inside the rail; `b` may be any int64.
+[[nodiscard]] inline std::int64_t saturating_add(
+    std::int64_t a, std::int64_t b, bool& saturated) noexcept {
+  std::int64_t sum = 0;
+  if (__builtin_add_overflow(a, b, &sum) || sum > kAccumulatorRail ||
+      sum < -kAccumulatorRail) {
+    saturated = true;
+    return b < 0 ? -kAccumulatorRail : kAccumulatorRail;
+  }
+  return sum;
+}
+
+/// Wide fixed-point accumulator: the force sum is an integer count of a
+/// fixed quantum, as in the hardware's 64-bit accumulator registers.
+/// add() rounds each contribution to the nearest count,
+/// k = nearbyint(x / quantum), and adds k in exact int64 arithmetic, so
+/// the sum of a set of contributions is the same in any order and at
+/// any magnitude up to the rail. Overflow past the rail saturates and
+/// is observable for diagnostics; a single contribution of 2^63 counts
+/// or more (or a NaN) saturates on its own, since no register holds it.
 class FixedAccumulator {
  public:
   explicit FixedAccumulator(double quantum) : quantum_(quantum) {
@@ -92,18 +117,33 @@ class FixedAccumulator {
 
   void add(double x) noexcept {
     const double scaled = x / quantum_;
-    // Saturate rather than wrap on overflow.
-    constexpr double kMax = 9.0e18;  // < 2^63
-    double next = static_cast<double>(acc_) + std::nearbyint(scaled);
-    if (next > kMax) {
-      next = kMax;
-      saturated_ = true;
-    } else if (next < -kMax) {
-      next = -kMax;
-      saturated_ = true;
+    if (std::fabs(scaled) < kRoundExactLimit) [[likely]] {
+      add_counts(nearest_count(scaled));
+      return;
     }
-    acc_ = static_cast<std::int64_t>(next);
+    add_wide(scaled);
   }
+
+  /// Add a count that is already an exact integer sum of rounded
+  /// contributions (a SIMD lane sum, a partial register readout).
+  void add_counts(std::int64_t counts) noexcept {
+    acc_ = saturating_add(acc_, counts, saturated_);
+  }
+
+  /// nearbyint(scaled) as an integer, for |scaled| < kRoundExactLimit:
+  /// adding 1.5 * 2^52 leaves a unit in the last place of 1, so the add
+  /// rounds to an integer in the current (round-to-nearest-even) mode,
+  /// and the integer sits in the low mantissa bits. Bitwise the same
+  /// count as std::nearbyint, without the libm call.
+  [[nodiscard]] static std::int64_t nearest_count(double scaled) noexcept {
+    return std::bit_cast<std::int64_t>(scaled + kRoundBias) -
+           std::bit_cast<std::int64_t>(kRoundBias);
+  }
+
+  /// The 1.5 * 2^52 rounding bias of nearest_count, and the magnitude
+  /// below which it is exact.
+  static constexpr double kRoundBias = 0x1.8p52;
+  static constexpr double kRoundExactLimit = 0x1p51;
 
   [[nodiscard]] double value() const noexcept {
     return static_cast<double>(acc_) * quantum_;
@@ -123,6 +163,18 @@ class FixedAccumulator {
   }
 
  private:
+  /// The rare large-count path: |scaled| >= 2^51, infinities, NaN.
+  void add_wide(double scaled) noexcept {
+    const double rounded = std::nearbyint(scaled);
+    constexpr double kInt64Limit = 0x1p63;
+    if (std::fabs(rounded) < kInt64Limit) {
+      add_counts(static_cast<std::int64_t>(rounded));
+      return;
+    }
+    saturated_ = true;
+    acc_ = rounded < 0.0 ? -kAccumulatorRail : kAccumulatorRail;
+  }
+
   double quantum_;
   std::int64_t acc_ = 0;
   bool saturated_ = false;

@@ -12,11 +12,18 @@
 //  * Zero-distance semantics: the i == j cut and the divergent
 //    r^2 == 0 corner behave identically across the lns, exact and
 //    native paths (the interact_exact bugfix).
+//  * SIMD Native kernel vs the portable scalar one: bitwise-identical
+//    raw registers across ragged tails, large and rail-sized counts,
+//    the divergent corner and registers that start on or near the
+//    saturation rail (skipped on hosts without AVX2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <random>
 #include <vector>
 
 #include "core/engines.hpp"
@@ -36,6 +43,7 @@ using grape::JWord;
 using grape::Pipeline;
 using grape::PipelineNumerics;
 using grape::PipelineScaling;
+using grape::RawForce;
 using grape::Vec3d;
 
 PipelineScaling test_scaling(double eps = 0.01) {
@@ -311,6 +319,199 @@ TEST(Backend, NativeProbeReportsVanishingCodecError) {
   EXPECT_LT(r.codec_p50, 1e-6);   // ~0: only coordinate quantization left
   EXPECT_GT(r.tree_p50, 1e-5);    // tree truncation error is untouched
   EXPECT_LT(r.tree_p50, 0.01);
+}
+
+// ---- SIMD Native kernel vs the portable scalar kernel ----
+
+Pipeline native_pipeline(const PipelineScaling& scaling) {
+  PipelineNumerics num;
+  num.backend = BackendKind::Native;
+  Pipeline pipe{num};
+  pipe.configure(scaling);
+  return pipe;
+}
+
+bool same_raw(const RawForce& a, const RawForce& b) {
+  return a.acc[0] == b.acc[0] && a.acc[1] == b.acc[1] &&
+         a.acc[2] == b.acc[2] && a.pot == b.pot && a.saturated == b.saturated;
+}
+
+/// Stream `count` j's from `start` through interact_batch (the SIMD
+/// dispatch) and through interact_batch_scalar; the raw registers must
+/// agree bit for bit. Returns the scalar readout.
+RawForce expect_simd_matches_scalar(const Pipeline& pipe, const IState& start,
+                                    const JWord* js, std::size_t count) {
+  IState simd = start;
+  IState scalar = start;
+  pipe.interact_batch(simd, js, count);
+  pipe.interact_batch_scalar(scalar, js, count);
+  const RawForce a = pipe.read_raw(simd);
+  const RawForce b = pipe.read_raw(scalar);
+  EXPECT_TRUE(same_raw(a, b))
+      << "count " << count << ": simd (" << a.acc[0] << ", " << a.acc[1]
+      << ", " << a.acc[2] << ", " << a.pot << ", " << a.saturated
+      << ") scalar (" << b.acc[0] << ", " << b.acc[1] << ", " << b.acc[2]
+      << ", " << b.pot << ", " << b.saturated << ")";
+  return b;
+}
+
+/// Largest |count| one interaction of `j` adds to any register of a
+/// fresh slot at `xi` (the scalar kernel's view).
+std::int64_t single_count(const Pipeline& pipe, const Vec3d& xi,
+                          const JWord& j) {
+  IState st = pipe.encode_i(xi);
+  pipe.interact_batch_scalar(st, &j, 1);
+  const RawForce r = pipe.read_raw(st);
+  std::int64_t m = 0;
+  for (const std::int64_t v : {r.acc[0], r.acc[1], r.acc[2], r.pot}) {
+    m = std::max(m, v < 0 ? -v : v);
+  }
+  return m;
+}
+
+TEST(Backend, NativeSimdMatchesScalarAcrossTails) {
+  const Pipeline pipe = native_pipeline(test_scaling());
+  if (!pipe.native_simd()) GTEST_SKIP() << "no AVX2 Native kernel here";
+  const Vec3d xi{0.3, -0.2, 0.1};
+  // Coincident and near pairs up front, then generic geometry; counts
+  // cover every residue mod 4 and the 256-j fold-block seams.
+  const auto js = make_jset(pipe, xi, 700, 303);
+  for (std::size_t count = 0; count <= 9; ++count) {
+    expect_simd_matches_scalar(pipe, pipe.encode_i(xi), js.data(), count);
+  }
+  for (const std::size_t count : {255u, 256u, 257u, 511u, 513u, 700u}) {
+    expect_simd_matches_scalar(pipe, pipe.encode_i(xi), js.data(), count);
+  }
+  // Ragged offsets: the stream starting at a non-multiple of 4.
+  expect_simd_matches_scalar(pipe, pipe.encode_i(xi), js.data() + 3, 602);
+}
+
+TEST(Backend, NativeSimdMatchesScalarOnLargeCounts) {
+  // Fine quanta push single-interaction counts past 2^51, beyond one
+  // 1.5 * 2^52 rounding step (the kernel splits them into hi and lo
+  // words), and the nearest pairs past 2^62, where the SIMD kernel
+  // hands the lane to the scalar one.
+  PipelineScaling s = test_scaling();
+  s.force_quantum = 0x1p-53;
+  s.potential_quantum = 0x1p-56;
+  const Pipeline pipe = native_pipeline(s);
+  if (!pipe.native_simd()) GTEST_SKIP() << "no AVX2 Native kernel here";
+  const Vec3d xi{0.25, -0.4, 0.8};
+  math::Rng rng(404);
+  std::vector<JWord> js;
+  js.push_back(pipe.encode_j(xi, 0.9));  // coincident: cut
+  for (int k = 0; k < 40; ++k) {
+    // Close pairs: 2^50 .. 2^62.6 counts per interaction.
+    js.push_back(pipe.encode_j(xi + 0.05 * rng.in_unit_ball(),
+                               rng.uniform(0.01, 0.2)));
+  }
+  while (js.size() < 600) {
+    js.push_back(pipe.encode_j(4.0 * rng.in_unit_ball(),
+                               rng.uniform(0.1, 1.5)));
+  }
+  std::shuffle(js.begin(), js.end(), std::mt19937_64(7));
+
+  std::int64_t past_51 = 0;
+  std::int64_t past_62 = 0;
+  for (const JWord& j : js) {
+    const std::int64_t c = single_count(pipe, xi, j);
+    past_51 += c >= (std::int64_t{1} << 51) ? 1 : 0;
+    past_62 += c >= (std::int64_t{1} << 62) ? 1 : 0;
+  }
+  ASSERT_GT(past_51, 50);
+  ASSERT_GT(past_62, 0);
+
+  // The full stream may or may not saturate; either way, bit for bit.
+  expect_simd_matches_scalar(pipe, pipe.encode_i(xi), js.data(), js.size());
+  // Short sub-streams, at offsets that hit every lane position.
+  for (std::size_t begin = 0; begin < js.size(); begin += 37) {
+    const std::size_t count = std::min<std::size_t>(61, js.size() - begin);
+    expect_simd_matches_scalar(pipe, pipe.encode_i(xi), js.data() + begin,
+                               count);
+  }
+}
+
+TEST(Backend, NativeSimdMatchesScalarAtTheDivergentCorner) {
+  // eps = 0 with coordinates ~1e-160 apart: r^2 underflows to zero for
+  // some non-coincident pairs (divergent: infinite counts, saturation)
+  // and stays finite for others, all inside one 4-lane group.
+  PipelineScaling s;
+  s.range_lo = -5e-155;
+  s.range_hi = 5e-155;
+  s.eps = 0.0;
+  s.force_quantum = 1e-18;
+  s.potential_quantum = 1e-18;
+  const Pipeline pipe = native_pipeline(s);
+  if (!pipe.native_simd()) GTEST_SKIP() << "no AVX2 Native kernel here";
+  const double q = pipe.position_quantum();
+  const Vec3d xi{0.0, 0.0, 0.0};
+  std::vector<JWord> js;
+  for (const double offset : {3.0, 0.0, 1e6, 2e6, -5.0, 4e6, 1e7}) {
+    js.push_back(pipe.encode_j(Vec3d{offset * q, 0.0, 0.0}, 1.0));
+  }
+  for (std::size_t count = 1; count <= js.size(); ++count) {
+    expect_simd_matches_scalar(pipe, pipe.encode_i(xi), js.data(), count);
+  }
+  const RawForce r =
+      expect_simd_matches_scalar(pipe, pipe.encode_i(xi), js.data(), js.size());
+  EXPECT_TRUE(r.saturated);
+}
+
+TEST(Backend, NativeSimdMatchesScalarAfterALargeScalarLane) {
+  // One interaction of ~8.5e18 counts (past 2^62: the scalar kernel
+  // takes it) brings the x register near the rail, then +/- 2^58 lanes
+  // push it over and back in stream order: the reference clamps and
+  // flags, so the SIMD kernel must not fold the small lanes as one sum.
+  PipelineScaling s = test_scaling(0.01);
+  s.force_quantum = 0x1p6;  // Native counts in units of 2^-6 of this: 1
+  s.potential_quantum = 0x1p26;
+  const Pipeline pipe = native_pipeline(s);
+  if (!pipe.native_simd()) GTEST_SKIP() << "no AVX2 Native kernel here";
+  const Vec3d xi{0.0, 0.0, 0.0};
+  std::vector<JWord> js = {pipe.encode_j(Vec3d{1.0, 0.0, 0.0}, 8.5e18)};
+  for (const double side : {1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0}) {
+    js.push_back(pipe.encode_j(Vec3d{side, 0.0, 0.0}, 0x1p58));
+  }
+  ASSERT_GT(single_count(pipe, xi, js[0]), std::int64_t{1} << 62);
+  const RawForce r =
+      expect_simd_matches_scalar(pipe, pipe.encode_i(xi), js.data(), js.size());
+  EXPECT_TRUE(r.saturated);
+  // Alone, the large lane stays exact and unflagged.
+  const RawForce one =
+      expect_simd_matches_scalar(pipe, pipe.encode_i(xi), js.data(), 1);
+  EXPECT_FALSE(one.saturated);
+}
+
+TEST(Backend, NativeSimdMatchesScalarFromTheRail) {
+  // Registers that start saturated, on the rail or within a fold
+  // block's reach of it: near the rail the order of the adds matters,
+  // and the SIMD kernel must replay the scalar order exactly.
+  PipelineScaling s = test_scaling();
+  s.force_quantum = 0x1p-40;
+  s.potential_quantum = 0x1p-44;
+  const Pipeline pipe = native_pipeline(s);
+  if (!pipe.native_simd()) GTEST_SKIP() << "no AVX2 Native kernel here";
+  const Vec3d xi{-0.5, 0.75, 0.2};
+  const auto js = make_jset(pipe, xi, 530, 505);
+  constexpr std::int64_t kRail = math::kAccumulatorRail;
+  for (const std::int64_t start :
+       {kRail, -kRail, kRail - (std::int64_t{1} << 40),
+        -kRail + (std::int64_t{1} << 52), kRail - (std::int64_t{1} << 58)}) {
+    IState st = pipe.encode_i(xi);
+    for (auto& a : st.acc) a.add_counts(start);
+    st.pot.add_counts(-start);
+    expect_simd_matches_scalar(pipe, st, js.data(), js.size());
+  }
+  // Flagged by an earlier overflow, then pulled back inside the rail.
+  IState st = pipe.encode_i(xi);
+  for (auto& a : st.acc) {
+    a.add(std::numeric_limits<double>::infinity());
+    a.add_counts(-(std::int64_t{1} << 50));
+  }
+  st.pot.add(-std::numeric_limits<double>::infinity());
+  ASSERT_TRUE(pipe.saturated(st));
+  const RawForce r = expect_simd_matches_scalar(pipe, st, js.data(), js.size());
+  EXPECT_TRUE(r.saturated);
 }
 
 }  // namespace

@@ -7,13 +7,16 @@
 //     board / requested / capacity fields (aggregate checks use
 //     kAggregate);
 //   * the integer-domain reduction makes results bitwise-identical
-//     across board counts AND chunk boundaries, for both backends;
+//     across board counts AND chunk boundaries, for both backends,
+//     also once accumulator counts pass 2^53;
 //   * a capacity error on the AsyncDevice submitter poisons the device
 //     like any other hardware fault.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -108,13 +111,16 @@ TEST(BoardSet, SingleBoardOverCapacityReportsBoardIndex) {
   }
 }
 
-/// Forces with a given board count, on a fresh system; `nj_cap` sets the
-/// per-board memory so the whole set stays resident.
+/// Forces with a given board count, on a fresh system; the per-board
+/// memory (`jmem`) keeps the whole set resident. The accumulator quanta
+/// follow `mass_scale` (the particle mass when 0).
 void forces_with_boards(const model::ParticleSet& src, std::size_t boards,
                         BackendKind backend, std::size_t ni,
-                        std::vector<Vec3d>& acc, std::vector<double>& pot) {
-  Grape5System sys(small_config(boards, 4096, backend));
-  sys.set_range(-2.0, 2.0, 0.02, src.mass()[0]);
+                        std::vector<Vec3d>& acc, std::vector<double>& pot,
+                        double mass_scale = 0.0, std::size_t jmem = 4096) {
+  Grape5System sys(small_config(boards, jmem, backend));
+  sys.set_range(-2.0, 2.0, 0.02,
+                mass_scale > 0.0 ? mass_scale : src.mass()[0]);
   sys.set_j_particles(src.pos(), src.mass());
   acc.assign(ni, Vec3d{});
   pot.assign(ni, 0.0);
@@ -172,6 +178,67 @@ TEST_P(BoardSetBackend, ChunkedEvaluationIsBitwiseInvariant) {
     EXPECT_EQ(acc_res[i].y, acc_chk[i].y) << i;
     EXPECT_EQ(acc_res[i].z, acc_chk[i].z) << i;
     EXPECT_EQ(pot_res[i], pot_chk[i]) << i;
+  }
+}
+
+TEST_P(BoardSetBackend, CountsBeyond2To53StayBitwiseInvariant) {
+  // Accumulator counts past 2^53, where adding in double would round
+  // and the board count would leak into the bits: native with 8,192
+  // particles in a unit ball (potential counts ~2^55.6), bit-exact with
+  // a mass scale 2^12 below the particle mass (~2^61.6 on its 2^6
+  // coarser quantum). The integer adds keep B = 1, 2, 4 and chunked
+  // uploads byte-identical.
+  constexpr std::size_t kNj = 8192;
+  constexpr std::size_t kNi = 96;
+  const auto src = ic::make_uniform_ball(kNj, 1.0, 1.0, 29);
+  const double mass_scale =
+      GetParam() == BackendKind::BitExact ? std::ldexp(src.mass()[0], -12)
+                                          : src.mass()[0];
+
+  std::vector<Vec3d> acc1, accb;
+  std::vector<double> pot1, potb;
+  forces_with_boards(src, 1, GetParam(), kNi, acc1, pot1, mass_scale, kNj);
+  // The regime the test is about: counts well past 2^53, below the rail.
+  {
+    Grape5System sys(small_config(1, kNj, GetParam()));
+    sys.set_range(-2.0, 2.0, 0.02, mass_scale);
+    sys.set_j_particles(src.pos(), src.mass());
+    std::vector<grape::RawForce> raw(kNi);
+    sys.compute_raw(std::span<const Vec3d>(src.pos().data(), kNi), raw);
+    std::int64_t largest = 0;
+    for (const auto& r : raw) {
+      EXPECT_FALSE(r.saturated);
+      largest = std::max(largest, r.pot < 0 ? -r.pot : r.pot);
+    }
+    EXPECT_GT(largest, std::int64_t{1} << 55);
+  }
+  for (const std::size_t boards : {2u, 4u}) {
+    forces_with_boards(src, boards, GetParam(), kNi, accb, potb, mass_scale,
+                       kNj);
+    for (std::size_t i = 0; i < kNi; ++i) {
+      EXPECT_EQ(acc1[i].x, accb[i].x) << "B=" << boards << " i=" << i;
+      EXPECT_EQ(acc1[i].y, accb[i].y) << "B=" << boards << " i=" << i;
+      EXPECT_EQ(acc1[i].z, accb[i].z) << "B=" << boards << " i=" << i;
+      EXPECT_EQ(pot1[i], potb[i]) << "B=" << boards << " i=" << i;
+    }
+  }
+
+  // Resident upload vs host-side chunking through a 2 x 1,000-word
+  // particle memory (5 chunks, ragged last one).
+  const std::span<const Vec3d> targets(src.pos().data(), kNi);
+  for (const std::size_t jmem : {kNj, std::size_t{1000}}) {
+    Grape5Device dev(small_config(2, jmem, GetParam()));
+    dev.set_range(-2.0, 2.0, mass_scale);
+    dev.set_eps(0.02);
+    std::vector<Vec3d> acc(kNi);
+    std::vector<double> pot(kNi);
+    dev.compute_forces_chunked(targets, src.pos(), src.mass(), acc, pot);
+    for (std::size_t i = 0; i < kNi; ++i) {
+      EXPECT_EQ(acc1[i].x, acc[i].x) << "jmem=" << jmem << " i=" << i;
+      EXPECT_EQ(acc1[i].y, acc[i].y) << "jmem=" << jmem << " i=" << i;
+      EXPECT_EQ(acc1[i].z, acc[i].z) << "jmem=" << jmem << " i=" << i;
+      EXPECT_EQ(pot1[i], pot[i]) << "jmem=" << jmem << " i=" << i;
+    }
   }
 }
 

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "math/fixed.hpp"
 #include "math/rng.hpp"
@@ -128,6 +132,81 @@ TEST(FixedAccumulator, ManySmallAddsStayExact) {
   FixedAccumulator acc(1e-9);
   for (int i = 0; i < 1000000; ++i) acc.add(1e-9);
   EXPECT_DOUBLE_EQ(acc.value(), 1e-9 * 1000000);
+}
+
+TEST(FixedAccumulator, SumsPast2To53AreOrderIndependent) {
+  // Counts past 2^53, where a double round trip would drop the unit
+  // counts: every order of the same adds gives the exact integer sum.
+  const double big = std::ldexp(1.0, 53);
+  std::vector<double> terms = {big, big, -3.0};
+  for (int k = 0; k < 64; ++k) terms.push_back(k % 3 == 0 ? 1.0 : 5.0);
+  std::int64_t expected = 0;
+  for (const double t : terms) expected += static_cast<std::int64_t>(t);
+  g5::math::Rng rng(12);
+  for (int order = 0; order < 20; ++order) {
+    for (std::size_t i = terms.size() - 1; i > 0; --i) {
+      std::swap(terms[i], terms[rng.uniform_index(i + 1)]);
+    }
+    FixedAccumulator acc(1.0);
+    for (const double t : terms) acc.add(t);
+    EXPECT_EQ(acc.raw(), expected) << "order " << order;
+    EXPECT_FALSE(acc.saturated());
+  }
+  // Partial sums merged as counts land on the same integer.
+  FixedAccumulator a(1.0);
+  FixedAccumulator b(1.0);
+  for (std::size_t i = 0; i < terms.size(); ++i) (i % 2 ? a : b).add(terms[i]);
+  a.add_counts(b.raw());
+  EXPECT_EQ(a.raw(), expected);
+}
+
+TEST(FixedAccumulator, RailSaturationSetsTheFlag) {
+  constexpr std::int64_t kRail = g5::math::kAccumulatorRail;
+  FixedAccumulator acc(1.0);
+  acc.add_counts(kRail);  // on the rail: still representable
+  EXPECT_EQ(acc.raw(), kRail);
+  EXPECT_FALSE(acc.saturated());
+  acc.add_counts(1);
+  EXPECT_EQ(acc.raw(), kRail);
+  EXPECT_TRUE(acc.saturated());
+  acc.add_counts(-kRail);  // the flag latches; the register moves on
+  EXPECT_EQ(acc.raw(), 0);
+  EXPECT_TRUE(acc.saturated());
+
+  FixedAccumulator neg(1.0);
+  neg.add_counts(-kRail);
+  neg.add_counts(std::numeric_limits<std::int64_t>::min());  // would wrap
+  EXPECT_EQ(neg.raw(), -kRail);
+  EXPECT_TRUE(neg.saturated());
+
+  // One contribution no 64-bit register holds, and a NaN, saturate.
+  for (const double x : {std::ldexp(1.0, 64), -std::ldexp(1.0, 70),
+                         std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    FixedAccumulator one(1.0);
+    one.add(x);
+    EXPECT_TRUE(one.saturated()) << x;
+    EXPECT_EQ(one.raw(), x < 0.0 ? -kRail : kRail) << x;
+  }
+}
+
+TEST(FixedAccumulator, NearestCountMatchesNearbyint) {
+  // The bias rounding is std::nearbyint, ties to even included, over
+  // the whole range it is used on.
+  std::vector<double> xs = {0.0,  -0.0, 0.5,  -0.5, 1.5,  -1.5, 2.5,
+                            -2.5, 0.49999999999999994, 1e15 + 0.5,
+                            std::ldexp(1.0, 51) - 0.5,
+                            -std::ldexp(1.0, 51) + 0.5,
+                            std::ldexp(1.0, 51) - 0.25};
+  g5::math::Rng rng(3);
+  for (int k = 0; k < 2000; ++k) {
+    xs.push_back(std::ldexp(rng.uniform(-1.0, 1.0), k % 52));
+  }
+  for (const double x : xs) {
+    EXPECT_EQ(FixedAccumulator::nearest_count(x),
+              static_cast<std::int64_t>(std::nearbyint(x)))
+        << x;
+  }
 }
 
 }  // namespace
