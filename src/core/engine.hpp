@@ -76,9 +76,13 @@ struct EngineStats {
   tree::WalkStats walk;              ///< tree engines only
   double seconds_total = 0.0;        ///< host wall clock, whole compute()
   double seconds_tree_build = 0.0;
-  /// Traversal + list packing. Summed over worker lanes (per-lane busy
-  /// time), so with threads > 1 this is CPU seconds and may exceed
-  /// seconds_total; divide by the thread count for a wall-clock estimate.
+  /// Traversal + list packing. Per-lane busy seconds (steady_clock laps,
+  /// not thread CPU time: a preempted lane keeps counting) summed over
+  /// worker lanes, so with threads > 1 it may exceed seconds_total;
+  /// divide by the lane count for a wall-clock estimate. Host tree
+  /// engines guarantee seconds_walk + seconds_kernel <= lanes *
+  /// seconds_total (every lap lies inside one parallel region of
+  /// compute()).
   double seconds_walk = 0.0;
   /// Force kernel (host, same per-lane summing as seconds_walk) or
   /// emulator wall (grape engines; with pipeline_depth >= 2 this runs

@@ -37,7 +37,7 @@ void HostTreeEngine::reduce_scratch() {
     groups += s.groups;
   }
   if (obs::enabled()) {
-    // Lane CPU seconds overlap in wall time, so they enter the phase
+    // Lane busy seconds overlap in wall time, so they enter the phase
     // table by lap accumulation under the live walk span, not as scopes.
     obs::record_phase("walk.cpu", walk_cpu, walked.lists);
     obs::record_phase("kernel.cpu", kernel_cpu, walked.lists);

@@ -21,7 +21,10 @@ struct StepMetrics {
   double wall_s = 0.0;          ///< measured wall clock of the step
 
   // Engine phase seconds for this step (deltas of EngineStats; the
-  // walk/kernel entries are per-lane CPU seconds, as in EngineStats).
+  // walk/kernel entries are per-lane busy seconds summed over lanes, as
+  // in EngineStats: steady_clock laps, not thread CPU time, so they may
+  // exceed engine_s; for host tree engines walk_s + kernel_s <= lanes *
+  // engine_s).
   double build_s = 0.0;
   double walk_s = 0.0;
   double kernel_s = 0.0;

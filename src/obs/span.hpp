@@ -78,7 +78,7 @@ class ScopedParentPath {
 
 /// Add `seconds` to the phase accumulator at the calling thread's
 /// current path extended with `/name` — for phases measured by lap
-/// accumulation rather than a live scope (e.g. per-lane CPU seconds
+/// accumulation rather than a live scope (e.g. per-lane busy seconds
 /// reduced after a parallel region). No-op when instrumentation is off.
 void record_phase(std::string_view name, double seconds,
                   std::uint64_t count = 1);
