@@ -6,7 +6,7 @@
 // snapshot runs through GrapeTreeEngine twice — synchronous
 // (pipeline_depth=0: walk, then eval, strictly alternating) and
 // pipelined (depth >= 2: walks overlap the AsyncDevice submitter thread,
-// with the emulated boards running board-parallel inside each job) — and
+// with each job's (board, i-block) tiles spread over the eval lanes) — and
 // we report end-to-end wall clock, the measured overlap fraction
 // (g5.pipeline.overlap: how much of the cheaper phase was hidden), and
 // the speedup. Forces are checked bitwise between the two runs.
@@ -24,9 +24,9 @@
 // --backend selects the pipeline arithmetic (BackendKind): bit-exact is
 // the bit-level datapath (the default; BENCH_p3.json's baseline), native
 // evaluates the same lists in plain double. BENCH_p6.json records both.
-// --boards scales the emulated cluster (0 = the paper's 2 boards); more
-// boards means more board-parallel lanes inside each device job, and the
-// forces stay bitwise-identical across B (docs/scaling.md; BENCH_p8.json
+// --boards scales the emulated cluster (0 = the paper's 2 boards); the
+// eval lanes follow --threads, not B, and the forces stay
+// bitwise-identical across B (docs/scaling.md; BENCH_p8.json
 // records the --boards {1,2,4} sweep for both backends).
 
 #include <cstdio>

@@ -35,9 +35,10 @@ struct ForceParams {
   /// host accuracy per list entry vs hardware throughput.
   bool quadrupole = false;
   /// Host worker threads for the tree-walk and tree-build phases (tree
-  /// engines). 0 = auto: the G5_THREADS environment variable, else
-  /// hardware concurrency. Results are bitwise-identical for any thread
-  /// count.
+  /// engines) and for the GRAPE engines' device evaluation lanes
+  /// (pipeline_depth >= 2). 0 = auto: the G5_THREADS environment
+  /// variable, else hardware concurrency. Results are bitwise-identical
+  /// for any thread count.
   std::uint32_t threads = 0;
   /// Tree engines: minimum particle count for the parallel tree build
   /// (tree::TreeBuildParams::parallel_cutoff). Below it the build runs
@@ -48,12 +49,12 @@ struct ForceParams {
   std::uint32_t build_parallel_cutoff = 1u << 15;
   /// GRAPE engines: interaction-list batch buffers in flight. >= 2 runs
   /// the asynchronous pipeline — the host walks batch k+1 while the
-  /// device thread evaluates batch k (grape::AsyncDevice), with the
-  /// emulated boards running board-parallel inside each job. 0 or 1
-  /// evaluates synchronously on the calling thread, as the pre-pipeline
-  /// code did. Groups are submitted in the same order with the same
-  /// chunking either way, so results are bitwise-identical across all
-  /// values (determinism_test checks this).
+  /// device thread evaluates batch k (grape::AsyncDevice), with each
+  /// job's (board, i-block) tiles spread over `threads` evaluation lanes.
+  /// 0 or 1 evaluates synchronously on the calling thread, as the
+  /// pre-pipeline code did. Groups are submitted in the same order with
+  /// the same chunking either way, so results are bitwise-identical
+  /// across all values (determinism_test checks this).
   std::uint32_t pipeline_depth = 2;
   /// GRAPE engines: arithmetic backend of the emulated pipelines.
   /// BitExact (default) is the bit-level GRAPE-5 datapath every golden

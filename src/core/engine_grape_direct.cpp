@@ -32,7 +32,8 @@ std::pair<double, double> configure_device_window(
 grape::AsyncDevice* ensure_async_device(
     std::unique_ptr<grape::AsyncDevice>& async,
     const std::shared_ptr<grape::Grape5Device>& device,
-    std::uint32_t pipeline_depth, std::size_t queue_capacity) {
+    std::uint32_t pipeline_depth, std::size_t queue_capacity,
+    std::uint32_t eval_threads) {
   if (pipeline_depth < 2) {
     async.reset();  // switch back to the synchronous path
     return nullptr;
@@ -44,6 +45,7 @@ grape::AsyncDevice* ensure_async_device(
   if (!async) {
     grape::AsyncDevice::Config cfg;
     cfg.queue_capacity = queue_capacity;
+    cfg.eval_threads = eval_threads;
     async = std::make_unique<grape::AsyncDevice>(device, cfg);
   }
   return async.get();
@@ -65,10 +67,11 @@ void GrapeDirectEngine::compute(model::ParticleSet& pset) {
   configure_device_window(*device_, pset, params_.eps);
 
   grape::AsyncDevice* async =
-      ensure_async_device(async_, device_, params_.pipeline_depth, 1);
+      ensure_async_device(async_, device_, params_.pipeline_depth, 1,
+                          params_.threads);
   if (async != nullptr) {
     // One job covering the whole set: direct summation has no walk to
-    // overlap, but the async layer's board-parallel evaluation still
+    // overlap, but the async layer's tile-parallel evaluation still
     // applies (bitwise-identical; see Grape5System::set_eval_pool).
     job_ = grape::ForceJob{};
     job_.i_pos = pset.pos();
@@ -124,7 +127,8 @@ void GrapeDirectEngine::compute_targets(
   }
 
   grape::AsyncDevice* async =
-      ensure_async_device(async_, device_, params_.pipeline_depth, 1);
+      ensure_async_device(async_, device_, params_.pipeline_depth, 1,
+                          params_.threads);
   if (async != nullptr) {
     job_ = grape::ForceJob{};
     job_.i_pos = i_pos_;

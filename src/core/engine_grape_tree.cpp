@@ -152,8 +152,9 @@ void GrapeTreeEngine::compute(model::ParticleSet& pset) {
       std::max<std::size_t>(std::size_t{4} * pool.size(), 8);
   const std::size_t depth = std::min<std::size_t>(
       std::max<std::size_t>(params_.pipeline_depth, 2), 8);
-  grape::AsyncDevice* async = ensure_async_device(
-      async_, device_, params_.pipeline_depth, depth * batch);
+  grape::AsyncDevice* async =
+      ensure_async_device(async_, device_, params_.pipeline_depth,
+                          depth * batch, params_.threads);
 
   // Distribution telemetry: hoisted once per phase (one enabled() check);
   // the walk lanes then publish through the pinned slots lock-free.
@@ -352,8 +353,9 @@ void GrapeTreeEngine::compute_targets(model::ParticleSet& pset,
       std::max<std::size_t>(std::size_t{16} * pool.size(), 64);
   const std::size_t depth = std::min<std::size_t>(
       std::max<std::size_t>(params_.pipeline_depth, 2), 8);
-  grape::AsyncDevice* async = ensure_async_device(
-      async_, device_, params_.pipeline_depth, depth * batch);
+  grape::AsyncDevice* async =
+      ensure_async_device(async_, device_, params_.pipeline_depth,
+                          depth * batch, params_.threads);
 
   // Per-target original walks always have a single i-particle, so only
   // the list-length distribution is published (no group sizes).

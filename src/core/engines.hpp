@@ -158,7 +158,7 @@ class GrapeDirectEngine final : public ForceEngine {
   std::shared_ptr<grape::Grape5Device> device_;
   /// Async submission layer (pipeline_depth >= 2). Direct summation has
   /// no walk to overlap, but routing through AsyncDevice still buys the
-  /// board-parallel evaluation it attaches to the device. Declared after
+  /// tile-parallel evaluation it attaches to the device. Declared after
   /// device_ so it is destroyed (joining its thread) first.
   std::unique_ptr<grape::AsyncDevice> async_;
   /// Job + gathered-target buffers; must outlive the in-flight job, so
@@ -226,10 +226,13 @@ std::pair<double, double> configure_device_window(
 /// engine. Returns nullptr when pipeline_depth < 2 (synchronous path);
 /// otherwise ensures `async` wraps `device` with at least
 /// `queue_capacity` queue slots, rebuilding it if a previous device
-/// error poisoned it. Called between phases only (no jobs in flight).
+/// error poisoned it. A new AsyncDevice gets `eval_threads` evaluation
+/// lanes (ForceParams::threads: the walk pool's count, 0 = auto). Called
+/// between phases only (no jobs in flight).
 grape::AsyncDevice* ensure_async_device(
     std::unique_ptr<grape::AsyncDevice>& async,
     const std::shared_ptr<grape::Grape5Device>& device,
-    std::uint32_t pipeline_depth, std::size_t queue_capacity);
+    std::uint32_t pipeline_depth, std::size_t queue_capacity,
+    std::uint32_t eval_threads);
 
 }  // namespace g5::core

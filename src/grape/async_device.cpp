@@ -1,6 +1,5 @@
 #include "grape/async_device.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -28,12 +27,8 @@ AsyncDevice::AsyncDevice(std::shared_ptr<Grape5Device> device,
     : device_(require_device(std::move(device))),
       queue_(config.queue_capacity),
       submitter_("g5-submit", [this] { submitter_loop(); }) {
-  const std::size_t boards = device_->system().board_count();
-  const unsigned eval_lanes =
-      config.eval_threads != 0
-          ? config.eval_threads
-          : static_cast<unsigned>(std::min<std::size_t>(boards, 64));
-  if (eval_lanes > 1 && boards > 1) {
+  const unsigned eval_lanes = util::resolve_thread_count(config.eval_threads);
+  if (eval_lanes > 1) {
     eval_pool_ = std::make_unique<util::ThreadPool>(eval_lanes);
     device_->system().set_eval_pool(eval_pool_.get());
   }

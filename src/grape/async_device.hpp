@@ -10,11 +10,11 @@
 // submission order through a util::BoundedQueue, and records per-job
 // completion accounting so callers never read the account mid-flight.
 //
-// It also attaches a board-evaluation worker pool to the underlying
-// Grape5System (set_eval_pool) so the emulated boards run concurrently
-// inside each job, the way the silicon boards did. Both layers preserve
-// bitwise-identical results (submission-order evaluation; per-board
-// partial sums reduced in board order).
+// It also attaches an evaluation worker pool to the underlying
+// Grape5System (set_eval_pool) so each job's (board, i-block) tiles run
+// concurrently, the way the silicon boards and their i-slots did. Both
+// layers preserve bitwise-identical results (submission-order
+// evaluation; per-board partial sums reduced in board order).
 //
 // Synchronization contract:
 //   * submit(job) — job's spans must stay valid, inputs unmodified and
@@ -80,9 +80,10 @@ class AsyncDevice {
   struct Config {
     /// Jobs the queue holds before submit() blocks (backpressure).
     std::size_t queue_capacity = 64;
-    /// Board-evaluation worker lanes attached to the device's system
-    /// while this AsyncDevice exists. 0 = one lane per board; 1
-    /// disables board parallelism.
+    /// Evaluation worker lanes attached to the device's system while
+    /// this AsyncDevice exists, for any board count. 0 = auto
+    /// (util::resolve_thread_count: G5_THREADS, else the host's cores);
+    /// 1 evaluates serially on the submitter thread.
     unsigned eval_threads = 0;
   };
 
@@ -166,7 +167,7 @@ class AsyncDevice {
   void publish_queue_depth();
 
   std::shared_ptr<Grape5Device> device_;
-  /// Board-parallel eval lanes; attached to the device's system for
+  /// Tile-parallel eval lanes; attached to the device's system for
   /// this object's lifetime. Declared before submitter_ so the thread
   /// (which uses it) joins first on destruction.
   std::unique_ptr<util::ThreadPool> eval_pool_;

@@ -75,9 +75,15 @@ std::size_t ProcessorBoard::run_raw(const Vec3d* i_pos, std::size_t ni,
                                     RawForce* out) {
   if (ni == 0 || j_count_ == 0) return 0;
   hib_.record_i_upload(ni);
+  eval_raw(i_pos, 0, ni, out);
+  hib_.record_result_read(ni);
+  return ni * j_count_;
+}
 
+void ProcessorBoard::eval_raw(const Vec3d* i_pos, std::size_t begin,
+                              std::size_t end, RawForce* out) const {
   const std::size_t slots = cfg_.i_slots();
-  for (std::size_t i = 0; i < ni; ++i) {
+  for (std::size_t i = begin; i < end; ++i) {
     IState state = pipe_.encode_i(i_pos[i]);
     // Batched j-stream: bitwise-identical to per-j interact() calls for
     // the bit-exact backend (see Pipeline::interact_batch).
@@ -92,9 +98,6 @@ std::size_t ProcessorBoard::run_raw(const Vec3d* i_pos, std::size_t ni,
       out[i].pot = scale_count(out[i].pot, gain);
     }
   }
-
-  hib_.record_result_read(ni);
-  return ni * j_count_;
 }
 
 std::size_t ProcessorBoard::run(const Vec3d* i_pos, std::size_t ni,

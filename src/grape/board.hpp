@@ -73,11 +73,22 @@ class ProcessorBoard {
                   double* out_pot, std::uint8_t* out_saturated = nullptr);
 
   /// Raw-readout run: overwrite out[i] with this board's integer partial
-  /// sums (counts of the accumulator quanta — see grape::RawForce). This
-  /// is the multi-board evaluation path: BoardSet merges the per-board
-  /// counts exactly, so the reduction is bitwise-identical to streaming
-  /// the whole j-set through one board. Returns interactions computed.
+  /// sums (counts of the accumulator quanta — see grape::RawForce), and
+  /// record the call's HIB traffic. Returns interactions computed.
   std::size_t run_raw(const Vec3d* i_pos, std::size_t ni, RawForce* out);
+
+  /// The evaluation half of run_raw for i-particles [begin, end) of a
+  /// call: overwrite out[i] with this board's raw counts for i_pos[i],
+  /// i in [begin, end) (both pointers address the whole call). Const and
+  /// free of HIB accounting, so disjoint ranges of one call may run
+  /// concurrently — BoardSet's (board, i-block) tiles; the caller records
+  /// the call's traffic once. Each i keeps its slot i % i_slots within
+  /// the whole call, so a chip fault hits the same i's however the call
+  /// is tiled. This is the multi-board evaluation path: BoardSet merges
+  /// the per-board counts exactly, so the reduction is bitwise-identical
+  /// to streaming the whole j-set through one board.
+  void eval_raw(const Vec3d* i_pos, std::size_t begin, std::size_t end,
+                RawForce* out) const;
 
   [[nodiscard]] const BoardConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const Pipeline& pipeline() const noexcept { return pipe_; }
@@ -94,6 +105,13 @@ class ProcessorBoard {
   /// Position of this board in its BoardSet (0 for standalone boards).
   [[nodiscard]] std::size_t index() const noexcept { return index_; }
 
+  /// Chip handling i-slot `slot` (slots cycle over pipelines, VMP-deep).
+  [[nodiscard]] std::size_t chip_of_slot(std::size_t slot) const {
+    const std::size_t pipeline = (slot / cfg_.vmp_factor) %
+                                 cfg_.pipelines();
+    return pipeline / cfg_.pipelines_per_chip;
+  }
+
  private:
   BoardConfig cfg_;
   Pipeline pipe_;
@@ -104,13 +122,6 @@ class ProcessorBoard {
   int faulty_chip_ = -1;
   double fault_gain_ = 0.0;
   std::vector<RawForce> raw_scratch_;  ///< run()'s readout staging
-
-  /// Chip handling i-slot `slot` (slots cycle over pipelines, VMP-deep).
-  [[nodiscard]] std::size_t chip_of_slot(std::size_t slot) const {
-    const std::size_t pipeline = (slot / cfg_.vmp_factor) %
-                                 cfg_.pipelines();
-    return pipeline / cfg_.pipelines_per_chip;
-  }
 };
 
 }  // namespace g5::grape

@@ -76,51 +76,73 @@ std::size_t BoardSet::run(std::span<const Vec3d> i_pos,
   }
   if (ni == 0 || resident_j_ == 0) return 0;
 
-  std::size_t active_boards = 0;
-  for (const auto& board : boards_) {
-    if (board->j_count() > 0) ++active_boards;
+  // The call's HIB traffic is recorded once per board, outside the
+  // parallel region: one i-upload and one result read however the call
+  // is tiled below.
+  active_.clear();
+  for (std::size_t b = 0; b < boards_.size(); ++b) {
+    if (boards_[b]->j_count() == 0) continue;
+    active_.push_back(b);
+    if (scratch_[b].size() < ni) scratch_[b].resize(ni);
+    boards_[b]->hib().record_i_upload(ni);
   }
+  if (active_.empty()) return 0;
 
-  const auto run_board = [&](std::size_t b) {
-    BoardScratch& sc = scratch_[b];
-    if (sc.raw.size() < ni) sc.raw.resize(ni);
+  // (board, i-block) tiles: each board's i-range splits into `blocks`
+  // contiguous blocks, sized so the call has about kTilesPerLane tiles
+  // per pool lane. Every i still streams its board's whole j-shard in
+  // the same order, and tile (b, k) writes only scratch_[b] over its
+  // own block, so the tiling is invisible in the result. An ni = 1 call
+  // keeps one tile per board — its boards still run on separate lanes.
+  constexpr std::size_t kTilesPerLane = 4;
+  const std::size_t lanes = pool != nullptr ? pool->size() : 1;
+  std::size_t blocks = 1;
+  if (lanes > 1) {
+    const std::size_t want = kTilesPerLane * lanes;
+    blocks = std::min(ni, (want + active_.size() - 1) / active_.size());
+  }
+  const std::size_t block = (ni + blocks - 1) / blocks;
+  blocks = (ni + block - 1) / block;  // no empty trailing block
+  const std::size_t tiles = active_.size() * blocks;
+
+  const auto run_tile = [&](std::size_t t) {
+    const std::size_t b = active_[t / blocks];
+    const std::size_t begin = (t % blocks) * block;
+    const std::size_t end = std::min(begin + block, ni);
     G5_OBS_SPAN(board_span_name(b), "grape");
-    sc.interactions = boards_[b]->run_raw(i_pos.data(), ni, sc.raw.data());
+    boards_[b]->eval_raw(i_pos.data(), begin, end, scratch_[b].data());
   };
-
-  if (pool != nullptr && pool->size() > 1 && active_boards > 1) {
-    // One lane per board; board b touches only scratch_[b] (lane
-    // ownership, no lock). The pool propagates the caller's span path,
-    // so the per-board spans nest under the compute phase that forked
-    // them.
-    pool->parallel_for(boards_.size(), 1,
+  if (lanes > 1 && tiles > 1) {
+    // The pool propagates the caller's span path, so the per-tile spans
+    // nest under the compute phase that forked them.
+    pool->parallel_for(tiles, 1,
                        [&](std::size_t begin, std::size_t end,
                            unsigned /*lane*/) {
-                         for (std::size_t b = begin; b < end; ++b) {
-                           if (boards_[b]->j_count() == 0) continue;
-                           run_board(b);
+                         for (std::size_t t = begin; t < end; ++t) {
+                           run_tile(t);
                          }
                        });
   } else {
-    for (std::size_t b = 0; b < boards_.size(); ++b) {
-      if (boards_[b]->j_count() == 0) continue;
-      run_board(b);
-    }
+    for (std::size_t t = 0; t < tiles; ++t) run_tile(t);
   }
+  for (const std::size_t b : active_) boards_[b]->hib().record_result_read(ni);
 
   // Reduce in board order, in the integer count domain. Integer addition
   // is exact and associative, so any board partition of the j-set — and
-  // the serial vs parallel evaluation above — produces identical counts;
+  // the serial vs tiled evaluation above — produces identical counts;
   // the caller's single conversion to doubles is then bitwise-identical
   // to a one-board run.
+  const bool observed = obs::enabled();
+  if (observed) ensure_board_obs();
   std::size_t interactions = 0;
-  for (std::size_t b = 0; b < boards_.size(); ++b) {
-    if (boards_[b]->j_count() == 0) continue;
-    const BoardScratch& sc = scratch_[b];
-    interactions += sc.interactions;
+  for (const std::size_t b : active_) {
+    const std::size_t board_interactions = ni * boards_[b]->j_count();
+    interactions += board_interactions;
+    if (observed) board_obs_[b].interactions->add(board_interactions);
+    const std::vector<RawForce>& partial = scratch_[b];
     for (std::size_t i = 0; i < ni; ++i) {
       RawForce& dst = raw[i];
-      const RawForce& src = sc.raw[i];
+      const RawForce& src = partial[i];
       bool overflowed = false;
       for (std::size_t c = 0; c < 3; ++c) {
         dst.acc[c] = math::saturating_add(dst.acc[c], src.acc[c], overflowed);
@@ -128,18 +150,6 @@ std::size_t BoardSet::run(std::span<const Vec3d> i_pos,
       dst.pot = math::saturating_add(dst.pot, src.pot, overflowed);
       dst.saturated = dst.saturated || src.saturated || overflowed;
     }
-  }
-
-  if (obs::enabled()) {
-    ensure_board_obs();
-    for (std::size_t b = 0; b < boards_.size(); ++b) {
-      if (scratch_[b].interactions > 0 && board_obs_[b].interactions) {
-        board_obs_[b].interactions->add(scratch_[b].interactions);
-      }
-      scratch_[b].interactions = 0;
-    }
-  } else {
-    for (auto& sc : scratch_) sc.interactions = 0;
   }
   return interactions;
 }

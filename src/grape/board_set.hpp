@@ -87,10 +87,13 @@ class BoardSet {
   /// integer partial sums into `raw` (saturating adds, deterministic
   /// board order). Does NOT clear `raw` — callers accumulate across
   /// chunked j-sets in the same exact domain. When `pool` has more than
-  /// one lane and more than one board holds particles, boards run
-  /// concurrently (one lane per board, private scratch); the merge
-  /// order — and therefore the result — is identical either way.
-  /// Returns interactions computed.
+  /// one lane, the call forks over (board, i-block) tiles — about four
+  /// per lane, at least one i each — so every host core works even on a
+  /// one- or two-board set; a one-i call keeps one tile per board. Each
+  /// tile streams its board's whole shard for its i's into that board's
+  /// private scratch, and the merge order — and therefore the result —
+  /// is identical to the serial loop. HIB traffic is recorded once per
+  /// board per call. Returns interactions computed.
   std::size_t run(std::span<const Vec3d> i_pos, std::span<RawForce> raw,
                   util::ThreadPool* pool);
 
@@ -104,14 +107,11 @@ class BoardSet {
   std::vector<std::size_t> board_j_;
   std::size_t resident_j_ = 0;
 
-  /// Per-board raw partial sums for the board-parallel path: board b
-  /// writes only scratch_[b] (lane ownership, no lock), merged in board
-  /// order afterwards.
-  struct BoardScratch {
-    std::vector<RawForce> raw;
-    std::size_t interactions = 0;
-  };
-  std::vector<BoardScratch> scratch_;
+  /// Per-board raw partial sums: board b's tiles write disjoint i-blocks
+  /// of scratch_[b] (no lock), merged in board order afterwards.
+  std::vector<std::vector<RawForce>> scratch_;
+  /// Boards holding a shard in the current run() (reused buffer).
+  std::vector<std::size_t> active_;
 
   /// Cached g5.board.<b>.* metric references (registration is mutexed;
   /// hot paths keep the forever-valid pointers). Built on the first

@@ -82,14 +82,16 @@ class Grape5System {
   /// Communication meters (aggregated over boards).
   [[nodiscard]] std::uint64_t bytes_moved() const;
 
-  /// Attach a worker pool that compute() hands to the BoardSet to run the
-  /// emulated boards concurrently (the silicon boards always ran
-  /// concurrently; the emulation is serial only for want of host cores).
-  /// Each board writes a private raw-count scratch and the host merges
-  /// them in board order in the integer domain, so results are
-  /// bitwise-identical to the serial path. The caller owns the pool and
-  /// must keep it alive until it detaches with nullptr; compute() itself
-  /// remains single-caller (one compute at a time), as before.
+  /// Attach a worker pool that compute() hands to the BoardSet, which
+  /// forks each call over (board, i-block) tiles on it — the silicon's
+  /// boards and i-slots all ran concurrently, so the emulation is serial
+  /// only for want of host cores. Size it to the host, not the board
+  /// count: even one board spreads its i's over every lane. Each board's
+  /// tiles write disjoint blocks of a private raw-count scratch and the
+  /// host merges the boards in board order in the integer domain, so
+  /// results are bitwise-identical to the serial path. The caller owns
+  /// the pool and must keep it alive until it detaches with nullptr;
+  /// compute() itself remains single-caller (one compute at a time).
   void set_eval_pool(util::ThreadPool* pool) noexcept { eval_pool_ = pool; }
   [[nodiscard]] util::ThreadPool* eval_pool() const noexcept {
     return eval_pool_;

@@ -1,14 +1,16 @@
 // grape::AsyncDevice: submission-order evaluation, bitwise equality with
-// the synchronous driver path, completion accounting, and error
-// poisoning. Runs under the TSan CI job.
+// the synchronous driver path, completion accounting, error poisoning,
+// and the eval pool's sizing. Runs under the TSan CI job.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
+#include "core/engines.hpp"
 #include "grape/async_device.hpp"
 #include "ic/plummer.hpp"
+#include "util/parallel.hpp"
 
 namespace {
 
@@ -158,6 +160,55 @@ TEST(AsyncDevice, DestructorFinishesQueuedJobs) {
     // No drain: destruction closes the queue and finishes every job.
   }
   for (const auto& job : jobs) EXPECT_GT(job.interactions, 0u);
+}
+
+TEST(AsyncDevice, OneBoardDeviceGetsEvalPool) {
+  // The eval pool is sized to the host, not to the board count: a
+  // one-board device splits each call's i's over the lanes too.
+  grape::SystemConfig cfg = grape::SystemConfig::paper_system();
+  cfg.boards = 1;
+  auto device = std::make_shared<grape::Grape5Device>(cfg);
+  {
+    grape::AsyncDevice::Config async_cfg;
+    async_cfg.eval_threads = 3;
+    grape::AsyncDevice async(device, async_cfg);
+    ASSERT_NE(device->system().eval_pool(), nullptr);
+    EXPECT_EQ(device->system().eval_pool()->size(), 3u);
+  }
+  EXPECT_EQ(device->system().eval_pool(), nullptr);  // detached on exit
+  {
+    grape::AsyncDevice async(device);  // eval_threads 0 = auto
+    const unsigned lanes = util::resolve_thread_count(0);
+    if (lanes > 1) {
+      ASSERT_NE(device->system().eval_pool(), nullptr);
+      EXPECT_EQ(device->system().eval_pool()->size(), lanes);
+    } else {
+      EXPECT_EQ(device->system().eval_pool(), nullptr);
+    }
+  }
+}
+
+TEST(AsyncDevice, EvalLanesFollowForceParamsThreads) {
+  // ForceParams::threads reaches the eval pool through the engine's
+  // ensure_async_device, so --threads governs walk and eval lanes alike;
+  // one thread evaluates serially on the submitter (no pool).
+  auto pset = ic::make_plummer(ic::PlummerConfig{.n = 64, .seed = 3});
+  for (const std::uint32_t threads : {1u, 2u, 3u}) {
+    SCOPED_TRACE(threads);
+    auto device = std::make_shared<grape::Grape5Device>();
+    core::ForceParams params;
+    params.threads = threads;
+    ASSERT_GE(params.pipeline_depth, 2u);  // the async path
+    core::GrapeDirectEngine engine(params, device);
+    engine.compute(pset);
+    const util::ThreadPool* pool = device->system().eval_pool();
+    if (threads == 1) {
+      EXPECT_EQ(pool, nullptr);
+    } else {
+      ASSERT_NE(pool, nullptr);
+      EXPECT_EQ(pool->size(), threads);
+    }
+  }
 }
 
 TEST(AsyncDevice, NullDeviceThrows) {

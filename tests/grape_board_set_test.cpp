@@ -9,6 +9,8 @@
 //   * the integer-domain reduction makes results bitwise-identical
 //     across board counts AND chunk boundaries, for both backends,
 //     also once accumulator counts pass 2^53;
+//   * the pooled (board, i-block) tiles reproduce the serial loop byte
+//     for byte, HIB accounting included, and keep each i's chip slot;
 //   * a capacity error on the AsyncDevice submitter poisons the device
 //     like any other hardware fault.
 
@@ -25,6 +27,7 @@
 #include "grape/driver.hpp"
 #include "grape/system.hpp"
 #include "ic/uniform.hpp"
+#include "util/parallel.hpp"
 
 namespace {
 
@@ -36,6 +39,7 @@ using grape::ForceJob;
 using grape::Grape5Device;
 using grape::Grape5System;
 using grape::JmemCapacityError;
+using grape::RawForce;
 using grape::SystemConfig;
 using grape::Vec3d;
 
@@ -281,6 +285,107 @@ TEST(BoardSet, EvalPoolMatchesSerialBitwise) {
     EXPECT_EQ(acc_s[i].z, acc_p[i].z) << i;
     EXPECT_EQ(pot_s[i], pot_p[i]) << i;
   }
+}
+
+/// One chunked force call's raw counts: the j-set uploads as two halves
+/// and both accumulate into the same buffer — the compute_forces_chunked
+/// path, so the second call merges into a nonzero `raw`. `pool` == nullptr
+/// is the serial loop; `faulty_board` >= 0 injects chip 3's fault there.
+struct ChunkedRaw {
+  std::vector<RawForce> raw;
+  std::size_t interactions = 0;
+  std::uint64_t hib_bytes = 0;
+};
+
+ChunkedRaw chunked_raw(const model::ParticleSet& src, std::size_t boards,
+                       BackendKind backend, std::size_t ni,
+                       util::ThreadPool* pool, int faulty_board = -1) {
+  Grape5System sys(small_config(boards, 4096, backend));
+  sys.set_eval_pool(pool);
+  if (faulty_board >= 0) sys.board(faulty_board).inject_chip_fault(3);
+  sys.set_range(-2.0, 2.0, 0.02, src.mass()[0]);
+  const std::span<const Vec3d> targets(src.pos().data(), ni);
+  const std::span<const Vec3d> pos(src.pos());
+  const std::span<const double> mass(src.mass());
+  const std::size_t half = pos.size() / 2;
+  ChunkedRaw out;
+  out.raw.assign(ni, RawForce{});
+  sys.set_j_particles(pos.first(half), mass.first(half));
+  out.interactions += sys.compute_raw(targets, out.raw);
+  sys.set_j_particles(pos.subspan(half), mass.subspan(half));
+  out.interactions += sys.compute_raw(targets, out.raw);
+  out.hib_bytes = sys.bytes_moved();
+  sys.set_eval_pool(nullptr);
+  return out;
+}
+
+bool same_raw(const RawForce& a, const RawForce& b) {
+  return a.acc[0] == b.acc[0] && a.acc[1] == b.acc[1] &&
+         a.acc[2] == b.acc[2] && a.pot == b.pot && a.saturated == b.saturated;
+}
+
+TEST(BoardSet, TiledEvalMatchesSerialBitwise) {
+  // The pooled run forks each call over (board, i-block) tiles; every i
+  // still streams its board's whole shard in order and the boards merge
+  // in board order, so the counts — and the HIB traffic, recorded once
+  // per board per call — must equal the serial loop's exactly, for lane
+  // counts that do and do not divide the tile count, ni from one i to
+  // past the 96 VMP i-slots, and the accumulate-into-nonzero second call.
+  const auto src = ic::make_uniform_cube(300, -1.0, 1.0, 1.0, 41);
+  std::vector<std::unique_ptr<util::ThreadPool>> pools;
+  for (const unsigned lanes : {2u, 3u, 4u, 7u}) {
+    pools.push_back(std::make_unique<util::ThreadPool>(lanes));
+  }
+  for (const BackendKind backend :
+       {BackendKind::BitExact, BackendKind::Native}) {
+    for (const std::size_t boards : {1u, 2u, 3u}) {
+      for (const std::size_t ni : {1u, 5u, 40u, 97u, 300u}) {
+        const ChunkedRaw serial =
+            chunked_raw(src, boards, backend, ni, nullptr);
+        for (const auto& pool : pools) {
+          SCOPED_TRACE(::testing::Message()
+                       << "native=" << (backend == BackendKind::Native)
+                       << " B=" << boards << " ni=" << ni
+                       << " lanes=" << pool->size());
+          const ChunkedRaw tiled =
+              chunked_raw(src, boards, backend, ni, pool.get());
+          EXPECT_EQ(serial.interactions, tiled.interactions);
+          EXPECT_EQ(serial.hib_bytes, tiled.hib_bytes);
+          for (std::size_t i = 0; i < ni; ++i) {
+            EXPECT_TRUE(same_raw(serial.raw[i], tiled.raw[i])) << "i=" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BoardSet, ChipFaultKeepsSlotUnderTiling) {
+  // A tile evaluates i in [begin, end) of the call, but each i must keep
+  // its slot i % i_slots within the whole call: the faulty chip scales
+  // exactly the i's it would scale serially, however the call is tiled.
+  const auto src = ic::make_uniform_cube(300, -1.0, 1.0, 1.0, 43);
+  constexpr std::size_t kNi = 300;
+  util::ThreadPool pool(4);
+  const ChunkedRaw healthy =
+      chunked_raw(src, 2, BackendKind::BitExact, kNi, nullptr);
+  const ChunkedRaw serial =
+      chunked_raw(src, 2, BackendKind::BitExact, kNi, nullptr, 1);
+  const ChunkedRaw tiled =
+      chunked_raw(src, 2, BackendKind::BitExact, kNi, &pool, 1);
+
+  Grape5System probe(small_config(2, 4096));
+  const grape::ProcessorBoard& board = probe.board(1);
+  const std::size_t slots = board.config().i_slots();
+  std::size_t scaled = 0;
+  for (std::size_t i = 0; i < kNi; ++i) {
+    EXPECT_TRUE(same_raw(serial.raw[i], tiled.raw[i])) << "i=" << i;
+    const bool on_faulty_chip = board.chip_of_slot(i % slots) == 3;
+    EXPECT_EQ(!same_raw(healthy.raw[i], tiled.raw[i]), on_faulty_chip)
+        << "i=" << i;
+    if (on_faulty_chip) ++scaled;
+  }
+  EXPECT_GT(scaled, 0u);
 }
 
 TEST(BoardSet, CapacityErrorPoisonsAsyncDevice) {

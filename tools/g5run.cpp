@@ -252,8 +252,8 @@ double phase_total(const std::vector<obs::PhaseStat>& report,
 void print_measured_timing(const core::SimulationSummary& summary,
                            const core::ForceParams& fp, std::size_t n) {
   const auto report = obs::phase_report();
-  std::printf("\nmeasured phases (wall seconds; .cpu rows are per-lane CPU "
-              "seconds summed over lanes):\n");
+  std::printf("\nmeasured phases (wall seconds; .cpu rows are per-lane "
+              "busy seconds, steady_clock, summed over lanes):\n");
   util::Table pt({"phase", "count", "total s", "mean s"});
   for (const auto& p : report) {
     char c1[24], c2[24], c3[24];
@@ -287,7 +287,7 @@ void print_measured_timing(const core::SimulationSummary& summary,
     mt.add_row({name, m1, m2});
   };
   row("tree build", es.seconds_tree_build, modeled_build);
-  row("tree walk (CPU s, 1-core model)", es.seconds_walk, modeled_walk);
+  row("tree walk (lane-busy s, summed)", es.seconds_walk, modeled_walk);
   row("integrate + bookkeeping", phase_total(report, "integrate"),
       modeled_step);
   if (summary.grape.force_calls > 0) {
