@@ -5,12 +5,14 @@
 #include <benchmark/benchmark.h>
 
 #include <map>
+#include <span>
 #include <vector>
 
 #include "core/analysis.hpp"
 #include "grape/cycle_sim.hpp"
 #include "grape/driver.hpp"
 #include "grape/host_reference.hpp"
+#include "grape/pipeline.hpp"
 #include "ic/plummer.hpp"
 #include "ic/uniform.hpp"
 #include "math/fft.hpp"
@@ -122,6 +124,55 @@ void BM_PipelineEmulation(benchmark::State& state) {
   state.SetLabel(num.exact_arithmetic ? "exact-arithmetic" : "lns-datapath");
 }
 BENCHMARK(BM_PipelineEmulation)->Arg(0)->Arg(1);
+
+// The native force kernel at stackbench sphere-native's tile shape:
+// one pass of 8 i-slots over a 467-j list. "vector" is the dispatch
+// ProcessorBoard uses (the AVX-512 kernel where the host has it);
+// "scalar" is the portable kernel AVX2-only hosts run.
+void BM_NativeKernel(benchmark::State& state, bool vector) {
+  constexpr std::size_t kNj = 467;
+  constexpr std::size_t kNi = grape::Pipeline::kernel_slots();
+  grape::PipelineNumerics num;
+  num.backend = grape::BackendKind::Native;
+  grape::Pipeline pipe(num);
+  grape::PipelineScaling scaling;
+  scaling.range_lo = -2.0;
+  scaling.range_hi = 2.0;
+  scaling.eps = 0.01;
+  grape::derive_scaling_quanta(scaling, 1.0 / 100000.0);
+  pipe.configure(scaling);
+  math::Rng rng(5);
+  std::vector<grape::JWord> js;
+  for (std::size_t k = 0; k < kNj; ++k) {
+    js.push_back(pipe.encode_j(rng.in_unit_ball(), 1.0 / 100000.0));
+  }
+  std::vector<grape::IState> fresh;
+  for (std::size_t k = 0; k < kNi; ++k) {
+    fresh.push_back(pipe.encode_i(rng.in_unit_ball()));
+  }
+  std::vector<grape::IState> slots = fresh;
+  for (auto _ : state) {
+    slots = fresh;
+    if (vector) {
+      pipe.interact_batch(std::span<grape::IState>(slots), js.data(), kNj);
+    } else {
+      for (auto& st : slots) pipe.interact_batch_scalar(st, js.data(), kNj);
+    }
+    benchmark::DoNotOptimize(slots.data());
+  }
+  const auto interactions = static_cast<double>(kNj * kNi);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kNj * kNi));
+  state.counters["s_per_interaction"] = benchmark::Counter(
+      interactions,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+  state.SetLabel(!vector             ? "scalar kernel"
+                 : pipe.native_simd() ? "AVX-512 kernel"
+                                      : "scalar kernel (no AVX-512 here)");
+}
+BENCHMARK_CAPTURE(BM_NativeKernel, vector, true);
+BENCHMARK_CAPTURE(BM_NativeKernel, scalar, false);
 
 void BM_LnsRoundTrip(benchmark::State& state) {
   math::LnsFormat fmt(static_cast<int>(state.range(0)));

@@ -1,6 +1,9 @@
 #include "grape/board.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -80,24 +83,35 @@ std::size_t ProcessorBoard::run_raw(const Vec3d* i_pos, std::size_t ni,
   return ni * j_count_;
 }
 
-void ProcessorBoard::eval_raw(const Vec3d* i_pos, std::size_t begin,
-                              std::size_t end, RawForce* out) const {
+NativeFallbacks ProcessorBoard::eval_raw(const Vec3d* i_pos,
+                                         std::size_t begin, std::size_t end,
+                                         RawForce* out) const {
   const std::size_t slots = cfg_.i_slots();
-  for (std::size_t i = begin; i < end; ++i) {
-    IState state = pipe_.encode_i(i_pos[i]);
-    // Batched j-stream: bitwise-identical to per-j interact() calls for
-    // the bit-exact backend (see Pipeline::interact_batch).
-    pipe_.interact_batch(state, jmem_.data(), j_count_);
-    out[i] = pipe_.read_raw(state);
-    if (faulty_chip_ >= 0 &&
-        chip_of_slot(i % slots) == static_cast<std::size_t>(faulty_chip_)) {
-      const double gain = 1.0 + fault_gain_;
-      for (std::size_t c = 0; c < 3; ++c) {
-        out[i].acc[c] = scale_count(out[i].acc[c], gain);
+  NativeFallbacks fallbacks;
+  std::array<IState, Pipeline::kernel_slots()> states;
+  for (std::size_t base = begin; base < end; base += states.size()) {
+    const std::size_t n = std::min(states.size(), end - base);
+    for (std::size_t k = 0; k < n; ++k) {
+      states[k] = pipe_.encode_i(i_pos[base + k]);
+    }
+    // Batched j-stream: bitwise-identical to per-j interact() calls on
+    // each slot (see Pipeline::interact_batch).
+    fallbacks += pipe_.interact_batch(std::span<IState>(states.data(), n),
+                                      jmem_.data(), j_count_);
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t i = base + k;
+      out[i] = pipe_.read_raw(states[k]);
+      if (faulty_chip_ >= 0 &&
+          chip_of_slot(i % slots) == static_cast<std::size_t>(faulty_chip_)) {
+        const double gain = 1.0 + fault_gain_;
+        for (std::size_t c = 0; c < 3; ++c) {
+          out[i].acc[c] = scale_count(out[i].acc[c], gain);
+        }
+        out[i].pot = scale_count(out[i].pot, gain);
       }
-      out[i].pot = scale_count(out[i].pot, gain);
     }
   }
+  return fallbacks;
 }
 
 std::size_t ProcessorBoard::run(const Vec3d* i_pos, std::size_t ni,

@@ -86,9 +86,11 @@ class ProcessorBoard {
   /// the whole call, so a chip fault hits the same i's however the call
   /// is tiled. This is the multi-board evaluation path: BoardSet merges
   /// the per-board counts exactly, so the reduction is bitwise-identical
-  /// to streaming the whole j-set through one board.
-  void eval_raw(const Vec3d* i_pos, std::size_t begin, std::size_t end,
-                RawForce* out) const;
+  /// to streaming the whole j-set through one board. The range streams
+  /// through the pipeline kernel Pipeline::kernel_slots() i's at a time;
+  /// returns what the vector Native kernel handed to the scalar one.
+  NativeFallbacks eval_raw(const Vec3d* i_pos, std::size_t begin,
+                           std::size_t end, RawForce* out) const;
 
   [[nodiscard]] const BoardConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const Pipeline& pipeline() const noexcept { return pipe_; }

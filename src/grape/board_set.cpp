@@ -104,13 +104,15 @@ std::size_t BoardSet::run(std::span<const Vec3d> i_pos,
   const std::size_t block = (ni + blocks - 1) / blocks;
   blocks = (ni + block - 1) / block;  // no empty trailing block
   const std::size_t tiles = active_.size() * blocks;
+  tile_fallbacks_.assign(tiles, NativeFallbacks{});
 
   const auto run_tile = [&](std::size_t t) {
     const std::size_t b = active_[t / blocks];
     const std::size_t begin = (t % blocks) * block;
     const std::size_t end = std::min(begin + block, ni);
     G5_OBS_SPAN(board_span_name(b), "grape");
-    boards_[b]->eval_raw(i_pos.data(), begin, end, scratch_[b].data());
+    tile_fallbacks_[t] =
+        boards_[b]->eval_raw(i_pos.data(), begin, end, scratch_[b].data());
   };
   if (lanes > 1 && tiles > 1) {
     // The pool propagates the caller's span path, so the per-tile spans
@@ -126,6 +128,9 @@ std::size_t BoardSet::run(std::span<const Vec3d> i_pos,
     for (std::size_t t = 0; t < tiles; ++t) run_tile(t);
   }
   for (const std::size_t b : active_) boards_[b]->hib().record_result_read(ni);
+  NativeFallbacks call_fallbacks;
+  for (const NativeFallbacks& f : tile_fallbacks_) call_fallbacks += f;
+  fallbacks_ += call_fallbacks;
 
   // Reduce in board order, in the integer count domain. Integer addition
   // is exact and associative, so any board partition of the j-set — and
@@ -133,7 +138,11 @@ std::size_t BoardSet::run(std::span<const Vec3d> i_pos,
   // the caller's single conversion to doubles is then bitwise-identical
   // to a one-board run.
   const bool observed = obs::enabled();
-  if (observed) ensure_board_obs();
+  if (observed) {
+    ensure_board_obs();
+    scalar_interactions_->add(call_fallbacks.scalar_interactions);
+    replayed_blocks_->add(call_fallbacks.replayed_blocks);
+  }
   std::size_t interactions = 0;
   for (const std::size_t b : active_) {
     const std::size_t board_interactions = ni * boards_[b]->j_count();
@@ -169,6 +178,8 @@ void BoardSet::ensure_board_obs() {
   // Registration takes a mutex and returns forever-valid references;
   // build the per-board handles once and keep the pointers.
   board_obs_.resize(boards_.size());
+  scalar_interactions_ = &obs::counter("g5.grape.native.scalar_interactions");
+  replayed_blocks_ = &obs::counter("g5.grape.native.replayed_blocks");
   obs::gauge("g5.board.count").set(static_cast<double>(boards_.size()));
   for (std::size_t b = 0; b < boards_.size(); ++b) {
     const std::string prefix = "g5.board." + std::to_string(b) + ".";

@@ -97,6 +97,15 @@ class BoardSet {
   std::size_t run(std::span<const Vec3d> i_pos, std::span<RawForce> raw,
                   util::ThreadPool* pool);
 
+  /// What the vector Native kernel handed to the scalar one, summed over
+  /// every run() since construction (zero for BitExact and on hosts
+  /// without the vector kernel). With instrumentation on, run() also
+  /// adds each call's share to the g5.grape.native.scalar_interactions
+  /// and g5.grape.native.replayed_blocks counters.
+  [[nodiscard]] const NativeFallbacks& native_fallbacks() const noexcept {
+    return fallbacks_;
+  }
+
   /// Aggregate HIB byte meters / meter reset.
   [[nodiscard]] std::uint64_t bytes_moved() const;
   void reset_hib();
@@ -112,6 +121,10 @@ class BoardSet {
   std::vector<std::vector<RawForce>> scratch_;
   /// Boards holding a shard in the current run() (reused buffer).
   std::vector<std::size_t> active_;
+  /// Per-tile kernel fallbacks of the current run(), summed after the
+  /// parallel region (reused buffer).
+  std::vector<NativeFallbacks> tile_fallbacks_;
+  NativeFallbacks fallbacks_;
 
   /// Cached g5.board.<b>.* metric references (registration is mutexed;
   /// hot paths keep the forever-valid pointers). Built on the first
@@ -122,6 +135,8 @@ class BoardSet {
     obs::Counter* interactions = nullptr;
   };
   std::vector<BoardObs> board_obs_;
+  obs::Counter* scalar_interactions_ = nullptr;
+  obs::Counter* replayed_blocks_ = nullptr;
 
   void ensure_board_obs();
   void publish_upload_metrics();

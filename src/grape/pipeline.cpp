@@ -1,7 +1,6 @@
 #include "grape/pipeline.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -19,15 +18,23 @@ using math::LnsValue;
 
 namespace {
 
-/// Widest coordinate word whose code differences (|d| < 2^position_bits)
-/// the AVX2 kernel converts to double exactly (|d| < 2^51).
-constexpr int kSimdMaxPositionBits = 50;
+/// The Native accumulator quantum for a bit-exact quantum q (> 0,
+/// finite): the smallest power of two at or above
+/// q * 2^-kNativeAccumulatorExtraBits.
+double native_quantum(double q) {
+  int e = 0;
+  const double m = std::frexp(q, &e);  // q = m * 2^e, m in [0.5, 1)
+  return std::ldexp(1.0,
+                    (m == 0.5 ? e - 1 : e) - kNativeAccumulatorExtraBits);
+}
 
-bool cpu_has_avx2() noexcept {
+bool cpu_has_avx512() noexcept {
 #if defined(__x86_64__)
   static const bool has = [] {
     __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") != 0;
+    return __builtin_cpu_supports("avx512f") != 0 &&
+           __builtin_cpu_supports("avx512dq") != 0 &&
+           __builtin_cpu_supports("avx512vl") != 0;
   }();
   return has;
 #else
@@ -37,224 +44,185 @@ bool cpu_has_avx2() noexcept {
 
 #if defined(__x86_64__)
 
-// The 4-wide AVX2 Native kernel. Each lane performs the scalar kernel's
-// IEEE operations in the same order (the target adds no "fma", so no
-// multiply-add contracts), which makes every lane's per-interaction
-// count bitwise the scalar one. The counts add exactly (integers carried
-// in double, see LaneSums) and fold into the int64 registers every
-// kFoldBlock j. Lanes the vector path does not carry (counts summing to
-// 2^62 or more, a non-finite value, the divergent r^2 == 0 corner) run
-// through the scalar kernel one interaction at a time.
+// The AVX-512 Native kernel. Its 8 lanes are 8 i-slots: each j's codes
+// and mass are broadcast to every lane, and each lane performs the
+// scalar kernel's IEEE operations in the same order (this file builds
+// with -ffp-contract=off, so no multiply-add contracts). The
+// accumulator quanta are powers of two, so x * (1/q) is bitwise x / q,
+// and vcvtpd2qq rounds to nearest-even like FixedAccumulator::add:
+// every lane's count is bitwise the scalar one. The counts add in int64
+// lane sums and fold into the slot's registers every kFoldBlock j.
+// (j, slot) pairs the vector path does not carry (four |count|s summing
+// to 2^62 or more, a non-finite value, the divergent r^2 == 0 corner)
+// run through the scalar kernel one interaction at a time.
 
-/// j-particles per fold of the lane sums into the accumulators (64 per
-/// lane).
+/// j-particles per fold of the lane sums into the accumulators.
 constexpr std::size_t kFoldBlock = 256;
 
 /// Bound on a lane's four |count|s, summed, that the vector path carries.
 constexpr double kVectorCountLimit = 0x1p62;
 
-/// Exact lane sums of one accumulator over a fold block, kept in
-/// double. A count k = nearbyint(s) is split as hi = s rounded to a
-/// multiple of 2^32 and lo = nearbyint(s - hi), so k = hi + lo. Both
-/// parts and their sums over a block (64 per lane) are exact in double:
-/// hi sums are multiples of 2^32 below 2^70, lo sums integers below 2^40.
-struct LaneSums {
-  __m256d hi;
-  __m256d lo;
-};
+constexpr std::size_t kSlots = Pipeline::kernel_slots();
 
-/// int64 -> double for |v| < 2^51 (AVX2 has no such conversion): place
-/// v in the low mantissa bits of 1.5 * 2^52, then subtract the bias.
-[[gnu::target("avx2")]] __m256d exact_to_double(__m256i v) {
-  const __m256d bias = _mm256_set1_pd(FixedAccumulator::kRoundBias);
-  const __m256i shifted = _mm256_add_epi64(v, _mm256_castpd_si256(bias));
-  return _mm256_sub_pd(_mm256_castsi256_pd(shifted), bias);
-}
-
-/// Add nearbyint(s) to `sum` (masked-out lanes carry s = 0). Adding
-/// 1.5 * 2^84 rounds s to a multiple of 2^32 (its unit in the last
-/// place there), so hi is exact and lo = s - hi is exact with
-/// |lo| <= 2^31; 1.5 * 2^52 then rounds lo to an integer the same way
-/// (FixedAccumulator::nearest_count). hi is an even integer, so
-/// rounding lo to nearest-even rounds s itself.
-[[gnu::target("avx2")]] void accumulate(LaneSums& sum, __m256d s) {
-  const __m256d high = _mm256_set1_pd(0x1.8p84);
-  const __m256d unit = _mm256_set1_pd(FixedAccumulator::kRoundBias);
-  const __m256d hi = _mm256_sub_pd(_mm256_add_pd(s, high), high);
-  const __m256d lo = _mm256_sub_pd(s, hi);
-  const __m256d lo_count = _mm256_sub_pd(_mm256_add_pd(lo, unit), unit);
-  sum.hi = _mm256_add_pd(sum.hi, hi);
-  sum.lo = _mm256_add_pd(sum.lo, lo_count);
-}
-
-[[gnu::target("avx2")]] double lane_sum(__m256d v) {
-  const __m128d low = _mm256_castpd256_pd128(v);
-  const __m128d s = _mm_add_pd(low, _mm256_extractf128_pd(v, 1));
-  return _mm_cvtsd_f64(s) + _mm_cvtsd_f64(_mm_unpackhi_pd(s, s));
-}
-
-/// Fold one accumulator's block sums. `peak` is the largest |count| the
-/// register held before the fold (at block entry and after each scalar
-/// lane); `magnitude` bounds the block's sum of |s| over the carried
-/// lanes. When peak + sum |k| stays inside the rail, no partial sum of
-/// the block in any order reaches the rail, so the exact total is the
-/// scalar kernel's result: fold it and return true. Otherwise leave the
-/// register alone and return false.
-[[gnu::target("avx2")]] bool fold(FixedAccumulator& acc, const LaneSums& sum,
-                                  std::int64_t peak, double magnitude) {
+/// Fold one slot's block sums: `counts` are its int64 lane sums of the
+/// four registers, `magnitude` the double sum of the four |s| of every
+/// carried j (one bound on sum |s| for each register), and `peak` the
+/// largest |count| each register held before the fold (at block entry
+/// and after each scalar interaction). When peak + sum |k| stays inside
+/// the rail, no partial sum of the block in any order reaches the rail,
+/// so the exact total is the scalar kernel's result — and the lane
+/// sums, which wrap mod 2^64, equal it: fold it and return true.
+/// Otherwise leave the registers alone and return false.
+bool fold(IState& st, const std::int64_t (&counts)[4], double magnitude,
+          const std::int64_t (&peak)[4]) {
   // sum |k| <= sum |s| + 128 over <= 256 counts, and the double sums
   // of |s| are within 2^-44 of the exact ones; the 2^-40 and 2^20
   // margins also cover the rounding of this check itself.
-  const double bound =
-      static_cast<double>(peak) + magnitude * (1.0 + 0x1p-40) + 0x1p20;
-  if (!(bound < static_cast<double>(math::kAccumulatorRail))) return false;
-  // Both lane sums are exact (the partial sums stay representable), and
-  // the bound keeps hi + lo inside int64.
-  const auto hi = static_cast<std::int64_t>(lane_sum(sum.hi) * 0x1p-32);
-  const auto lo = static_cast<std::int64_t>(lane_sum(sum.lo));
-  acc.add_counts(hi * (std::int64_t{1} << 32) + lo);
+  const double reach = magnitude * (1.0 + 0x1p-40) + 0x1p20;
+  for (const std::int64_t p : peak) {
+    if (!(static_cast<double>(p) + reach <
+          static_cast<double>(math::kAccumulatorRail))) {
+      return false;
+    }
+  }
+  for (std::size_t c = 0; c < 3; ++c) st.acc[c].add_counts(counts[c]);
+  st.pot.add_counts(counts[3]);
   return true;
 }
 
-/// The two coordinate words x[0], x[1] of a j-particle.
-[[gnu::target("avx2")]] __m128i load_xy(const JWord& j) {
-  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(j.x));
+void track_peak(const IState& st, std::int64_t (&peak)[4]) {
+  const std::int64_t v[4] = {st.acc[0].raw(), st.acc[1].raw(),
+                             st.acc[2].raw(), st.pot.raw()};
+  for (std::size_t c = 0; c < 4; ++c) {
+    peak[c] = std::max(peak[c], v[c] < 0 ? -v[c] : v[c]);
+  }
 }
 
 // g5lint: hot-begin(pipeline-simd) — no allocation per call or per j.
-[[gnu::target("avx2")]] void interact_batch_native_avx2(
-    const Pipeline& pipe, IState& st, const JWord* j, std::size_t count) {
+[[gnu::target("avx512f,avx512dq,avx512vl")]] NativeFallbacks
+interact_slots_avx512(const Pipeline& pipe, IState* slots, std::size_t n,
+                      const JWord* j, std::size_t count) {
+  NativeFallbacks fallbacks;
+  // Spare lanes repeat the last slot; nothing reads their sums.
+  std::int64_t xi[3][kSlots];
+  for (std::size_t l = 0; l < kSlots; ++l) {
+    const IState& st = slots[std::min(l, n - 1)];
+    for (std::size_t c = 0; c < 3; ++c) xi[c][l] = st.x[c].code();
+  }
+  const __m512i xi0 = _mm512_loadu_si512(xi[0]);
+  const __m512i xi1 = _mm512_loadu_si512(xi[1]);
+  const __m512i xi2 = _mm512_loadu_si512(xi[2]);
   const double eps = pipe.scaling().eps;
-  const __m256d eps2 = _mm256_set1_pd(eps * eps);
-  const __m256d quantum = _mm256_set1_pd(pipe.position_quantum());
-  const __m256d force_q = _mm256_set1_pd(st.acc[0].quantum());
-  const __m256d pot_q = _mm256_set1_pd(st.pot.quantum());
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  const __m256d limit = _mm256_set1_pd(kVectorCountLimit);
-  const __m256i xi0 = _mm256_set1_epi64x(st.x[0].code());
-  const __m256i xi1 = _mm256_set1_epi64x(st.x[1].code());
-  const __m256i xi2 = _mm256_set1_epi64x(st.x[2].code());
-  const __m256i lane_index = _mm256_set_epi64x(3, 2, 1, 0);
-  FixedAccumulator* const regs[4] = {&st.acc[0], &st.acc[1], &st.acc[2],
-                                     &st.pot};
+  const __m512d eps2 = _mm512_set1_pd(eps * eps);
+  const __m512d quantum = _mm512_set1_pd(pipe.position_quantum());
+  const __m512d force_r =
+      _mm512_set1_pd(1.0 / pipe.force_accumulator_quantum());
+  // (-gp) / q is -(gp * (1/q)): negation commutes with the rounding.
+  const __m512d pot_r =
+      _mm512_set1_pd(-1.0 / pipe.potential_accumulator_quantum());
+  const __m512d one = _mm512_set1_pd(1.0);
+  const __m512d zero = _mm512_setzero_pd();
+  const __m512d limit = _mm512_set1_pd(kVectorCountLimit);
+  constexpr __mmask8 all_lanes = 0xFF;
 
   for (std::size_t block = 0; block < count; block += kFoldBlock) {
     const std::size_t end = std::min(count, block + kFoldBlock);
-    // Lanes the vector path leaves to the scalar kernel, one bit per j
-    // of the block; they run after the vector loop, in stream order.
-    std::uint64_t scalar_lanes[kFoldBlock / 64] = {};
-    LaneSums sum_x = {zero, zero};
-    LaneSums sum_y = sum_x;
-    LaneSums sum_z = sum_x;
-    LaneSums sum_p = sum_x;
-    // Per lane, the sum of the four |s| of every carried j: one bound
-    // on sum |s| for each of the four accumulators.
-    __m256d magnitude = zero;
-    for (std::size_t base = block; base < end; base += 4) {
-      // A ragged tail repeats its last j in the spare lanes; `live`
-      // masks them out of the sums.
-      const std::size_t n = std::min<std::size_t>(4, end - base);
-      const JWord& j0 = j[base];
-      const JWord& j1 = j[base + std::min<std::size_t>(1, n - 1)];
-      const JWord& j2 = j[base + std::min<std::size_t>(2, n - 1)];
-      const JWord& j3 = j[base + n - 1];
-      const __m256i lanes = _mm256_set1_epi64x(static_cast<std::int64_t>(n));
-      const __m256d live =
-          _mm256_castsi256_pd(_mm256_cmpgt_epi64(lanes, lane_index));
-
-      // Transpose the four (x0, x1) pairs into x0 and x1 lanes.
-      const __m256i r02 = _mm256_set_m128i(load_xy(j2), load_xy(j0));
-      const __m256i r13 = _mm256_set_m128i(load_xy(j3), load_xy(j1));
-      const __m256i cx = _mm256_unpacklo_epi64(r02, r13);
-      const __m256i cy = _mm256_unpackhi_epi64(r02, r13);
-      const __m256i cz = _mm256_set_epi64x(j3.x[2].code(), j2.x[2].code(),
-                                           j1.x[2].code(), j0.x[2].code());
-      const __m256d mass = _mm256_set_pd(j3.mass_exact, j2.mass_exact,
-                                         j1.mass_exact, j0.mass_exact);
-
+    // Slots the vector path leaves to the scalar kernel, one mask per
+    // j of the block; they run after the vector loop, in stream order.
+    __mmask8 scalar_slots[kFoldBlock];
+    __mmask8 any_scalar = 0;
+    __m512i sum[4] = {_mm512_setzero_si512(), _mm512_setzero_si512(),
+                      _mm512_setzero_si512(), _mm512_setzero_si512()};
+    __m512d magnitude = zero;
+    for (std::size_t k = block; k < end; ++k) {
+      const JWord& jw = j[k];
       // The scalar kernel's operations, in its order.
-      const __m256i d0 = _mm256_sub_epi64(cx, xi0);
-      const __m256i d1 = _mm256_sub_epi64(cy, xi1);
-      const __m256i d2 = _mm256_sub_epi64(cz, xi2);
-      const __m256i d_or = _mm256_or_si256(_mm256_or_si256(d0, d1), d2);
-      const __m256d cut = _mm256_castsi256_pd(
-          _mm256_cmpeq_epi64(d_or, _mm256_setzero_si256()));
-      const __m256d dx = _mm256_mul_pd(exact_to_double(d0), quantum);
-      const __m256d dy = _mm256_mul_pd(exact_to_double(d1), quantum);
-      const __m256d dz = _mm256_mul_pd(exact_to_double(d2), quantum);
-      const __m256d dx2 = _mm256_mul_pd(dx, dx);
-      const __m256d dy2 = _mm256_mul_pd(dy, dy);
-      const __m256d dz2 = _mm256_mul_pd(dz, dz);
-      const __m256d r2 =
-          _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(dx2, dy2), dz2), eps2);
-      const __m256d r2_zero = _mm256_cmp_pd(r2, zero, _CMP_EQ_OQ);
-      const __m256d dead = _mm256_or_pd(cut, r2_zero);
-      const __m256d divergent = _mm256_andnot_pd(cut, r2_zero);
-      const __m256d r2_eff = _mm256_blendv_pd(r2, one, dead);
-      const __m256d rinv = _mm256_div_pd(one, _mm256_sqrt_pd(r2_eff));
-      const __m256d wm = _mm256_mul_pd(_mm256_andnot_pd(dead, one), mass);
-      const __m256d rinv3 = _mm256_mul_pd(_mm256_mul_pd(rinv, rinv), rinv);
-      const __m256d mg = _mm256_mul_pd(wm, rinv3);
-      const __m256d gp = _mm256_mul_pd(wm, rinv);
-      const __m256d sx = _mm256_div_pd(_mm256_mul_pd(mg, dx), force_q);
-      const __m256d sy = _mm256_div_pd(_mm256_mul_pd(mg, dy), force_q);
-      const __m256d sz = _mm256_div_pd(_mm256_mul_pd(mg, dz), force_q);
-      const __m256d sp = _mm256_div_pd(_mm256_xor_pd(gp, sign), pot_q);
+      const __m512i d0 =
+          _mm512_sub_epi64(_mm512_set1_epi64(jw.x[0].code()), xi0);
+      const __m512i d1 =
+          _mm512_sub_epi64(_mm512_set1_epi64(jw.x[1].code()), xi1);
+      const __m512i d2 =
+          _mm512_sub_epi64(_mm512_set1_epi64(jw.x[2].code()), xi2);
+      const __m512i d_or = _mm512_or_si512(_mm512_or_si512(d0, d1), d2);
+      const __mmask8 cut = _mm512_testn_epi64_mask(d_or, d_or);
+      const __m512d dx = _mm512_mul_pd(_mm512_cvtepi64_pd(d0), quantum);
+      const __m512d dy = _mm512_mul_pd(_mm512_cvtepi64_pd(d1), quantum);
+      const __m512d dz = _mm512_mul_pd(_mm512_cvtepi64_pd(d2), quantum);
+      const __m512d r2 = _mm512_add_pd(
+          _mm512_add_pd(_mm512_add_pd(_mm512_mul_pd(dx, dx),
+                                      _mm512_mul_pd(dy, dy)),
+                        _mm512_mul_pd(dz, dz)),
+          eps2);
+      const __mmask8 r2_zero = _mm512_cmp_pd_mask(r2, zero, _CMP_EQ_OQ);
+      const auto dead = static_cast<__mmask8>(cut | r2_zero);
+      const auto divergent = static_cast<__mmask8>(r2_zero & ~cut);
+      const __m512d r2_eff = _mm512_mask_blend_pd(dead, r2, one);
+      // The all-lanes mask form: GCC 12 flags the plain form's
+      // undefined pass-through operand under -Wmaybe-uninitialized.
+      const __m512d rinv =
+          _mm512_div_pd(one, _mm512_maskz_sqrt_pd(all_lanes, r2_eff));
+      const __m512d weight =
+          _mm512_maskz_mov_pd(static_cast<__mmask8>(~dead), one);
+      const __m512d wm = _mm512_mul_pd(weight, _mm512_set1_pd(jw.mass_exact));
+      const __m512d rinv3 = _mm512_mul_pd(_mm512_mul_pd(rinv, rinv), rinv);
+      const __m512d mg = _mm512_mul_pd(wm, rinv3);
+      const __m512d gp = _mm512_mul_pd(wm, rinv);
+      const __m512d s[4] = {
+          _mm512_mul_pd(_mm512_mul_pd(mg, dx), force_r),
+          _mm512_mul_pd(_mm512_mul_pd(mg, dy), force_r),
+          _mm512_mul_pd(_mm512_mul_pd(mg, dz), force_r),
+          _mm512_mul_pd(gp, pot_r)};
 
       // A lane is carried when its four |count|s sum below the limit
       // (false for a NaN or an infinity) and its pair is not divergent.
-      const __m256d ax = _mm256_andnot_pd(sign, sx);
-      const __m256d ay = _mm256_andnot_pd(sign, sy);
-      const __m256d az = _mm256_andnot_pd(sign, sz);
-      const __m256d ap = _mm256_andnot_pd(sign, sp);
-      const __m256d total =
-          _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(ax, ay), az), ap);
-      const __m256d small = _mm256_cmp_pd(total, limit, _CMP_LT_OQ);
-      const __m256d keep =
-          _mm256_and_pd(_mm256_andnot_pd(divergent, live), small);
-      magnitude = _mm256_add_pd(magnitude, _mm256_and_pd(total, keep));
-      accumulate(sum_x, _mm256_and_pd(sx, keep));
-      accumulate(sum_y, _mm256_and_pd(sy, keep));
-      accumulate(sum_z, _mm256_and_pd(sz, keep));
-      accumulate(sum_p, _mm256_and_pd(sp, keep));
-
-      const auto skipped = static_cast<std::uint64_t>(
-          _mm256_movemask_pd(_mm256_andnot_pd(keep, live)));
-      scalar_lanes[(base - block) / 64] |= skipped << ((base - block) % 64);
-    }
-
-    // The scalar lanes go first; `peak` tracks the largest |count| the
-    // registers hold before the fold.
-    const IState entry = st;
-    std::int64_t peak[4] = {};
-    const auto track_peak = [&] {
+      const __m512d total = _mm512_add_pd(
+          _mm512_add_pd(
+              _mm512_add_pd(_mm512_abs_pd(s[0]), _mm512_abs_pd(s[1])),
+              _mm512_abs_pd(s[2])),
+          _mm512_abs_pd(s[3]));
+      const auto keep = static_cast<__mmask8>(
+          _mm512_cmp_pd_mask(total, limit, _CMP_LT_OQ) & ~divergent);
+      magnitude = _mm512_mask_add_pd(magnitude, keep, magnitude, total);
       for (std::size_t c = 0; c < 4; ++c) {
-        const std::int64_t v = regs[c]->raw();
-        peak[c] = std::max(peak[c], v < 0 ? -v : v);
+        sum[c] = _mm512_mask_add_epi64(sum[c], keep, sum[c],
+                                       _mm512_cvtpd_epi64(s[c]));
       }
-    };
-    track_peak();
-    for (std::size_t w = 0; w < kFoldBlock / 64; ++w) {
-      for (std::uint64_t bits = scalar_lanes[w]; bits != 0; bits &= bits - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(bits));
-        pipe.interact_batch_scalar(st, j + block + 64 * w + l, 1);
-        track_peak();
-      }
+      const auto scalar = static_cast<__mmask8>(~keep);
+      scalar_slots[k - block] = scalar;
+      any_scalar = static_cast<__mmask8>(any_scalar | scalar);
     }
-    const double bound = lane_sum(magnitude);
-    const bool folded = fold(st.acc[0], sum_x, peak[0], bound) &&
-                        fold(st.acc[1], sum_y, peak[1], bound) &&
-                        fold(st.acc[2], sum_z, peak[2], bound) &&
-                        fold(st.pot, sum_p, peak[3], bound);
-    if (!folded) [[unlikely]] {
-      // Near the rail the order of the adds matters: replay the block
-      // in stream order.
-      st = entry;
-      pipe.interact_batch_scalar(st, j + block, end - block);
+
+    std::int64_t lane[4][kSlots];
+    double lane_magnitude[kSlots];
+    for (std::size_t c = 0; c < 4; ++c) _mm512_storeu_si512(lane[c], sum[c]);
+    _mm512_storeu_pd(lane_magnitude, magnitude);
+    for (std::size_t l = 0; l < n; ++l) {
+      IState& st = slots[l];
+      const IState entry = st;
+      // The slot's scalar interactions go first; `peak` tracks the
+      // largest |count| its registers hold before the fold.
+      std::int64_t peak[4] = {};
+      track_peak(st, peak);
+      if ((any_scalar >> l) & 1u) {
+        for (std::size_t k = block; k < end; ++k) {
+          if (((scalar_slots[k - block] >> l) & 1u) == 0) continue;
+          pipe.interact_batch_scalar(st, j + k, 1);
+          track_peak(st, peak);
+          ++fallbacks.scalar_interactions;
+        }
+      }
+      const std::int64_t counts[4] = {lane[0][l], lane[1][l], lane[2][l],
+                                      lane[3][l]};
+      if (!fold(st, counts, lane_magnitude[l], peak)) [[unlikely]] {
+        // Near the rail the order of the adds matters: replay the block
+        // in stream order.
+        st = entry;
+        pipe.interact_batch_scalar(st, j + block, end - block);
+        ++fallbacks.replayed_blocks;
+      }
     }
   }
+  return fallbacks;
 }
 // g5lint: hot-end
 
@@ -275,9 +243,7 @@ Pipeline::Pipeline(const PipelineNumerics& numerics)
       lns_(numerics.lns_frac_bits),
       codec_(-1.0, 1.0, numerics.position_bits),
       native_simd_(numerics.backend == BackendKind::Native &&
-                   !numerics.exact_arithmetic &&
-                   numerics.position_bits <= kSimdMaxPositionBits &&
-                   cpu_has_avx2()) {
+                   !numerics.exact_arithmetic && cpu_has_avx512()) {
   lns_.set_table_index_bits(numerics.table_index_bits);
   configure(PipelineScaling{});
 }
@@ -293,6 +259,12 @@ void Pipeline::configure(const PipelineScaling& scaling) {
   codec_ = math::FixedPointCodec(scaling.range_lo, scaling.range_hi,
                                  numerics_.position_bits);
   eps2_ = scaling.eps * scaling.eps;
+  const bool native =
+      numerics_.backend == BackendKind::Native && !numerics_.exact_arithmetic;
+  force_acc_quantum_ = native ? native_quantum(scaling.force_quantum)
+                              : scaling.force_quantum;
+  potential_acc_quantum_ = native ? native_quantum(scaling.potential_quantum)
+                                  : scaling.potential_quantum;
 }
 
 JWord Pipeline::encode_j(const Vec3d& pos, double mass) const {
@@ -301,19 +273,6 @@ JWord Pipeline::encode_j(const Vec3d& pos, double mass) const {
   j.mass = lns_.from_double(mass);
   j.mass_exact = mass;
   return j;
-}
-
-double Pipeline::force_accumulator_quantum() const noexcept {
-  return numerics_.backend == BackendKind::Native && !numerics_.exact_arithmetic
-             ? std::ldexp(scaling_.force_quantum, -kNativeAccumulatorExtraBits)
-             : scaling_.force_quantum;
-}
-
-double Pipeline::potential_accumulator_quantum() const noexcept {
-  return numerics_.backend == BackendKind::Native && !numerics_.exact_arithmetic
-             ? std::ldexp(scaling_.potential_quantum,
-                          -kNativeAccumulatorExtraBits)
-             : scaling_.potential_quantum;
 }
 
 IState Pipeline::encode_i(const Vec3d& pos) const {
@@ -375,15 +334,25 @@ void Pipeline::interact(IState& i_state, const JWord& j) const {
   i_state.pot.add(-lns_.to_double(lns_.mul(j.mass, h)));
 }
 
-void Pipeline::interact_batch(IState& i_state, const JWord* j,
-                              std::size_t count) const {
+NativeFallbacks Pipeline::interact_batch(std::span<IState> slots,
+                                         const JWord* j,
+                                         std::size_t count) const {
 #if defined(__x86_64__)
-  if (native_simd_) {
-    interact_batch_native_avx2(*this, i_state, j, count);
-    return;
+  // The kernel multiplies by 1/q, which is x / q bitwise for the
+  // power-of-two quanta encode_i installs while 1/q is finite.
+  if (native_simd_ && count > 0 && std::isfinite(1.0 / force_acc_quantum_) &&
+      std::isfinite(1.0 / potential_acc_quantum_)) {
+    NativeFallbacks fallbacks;
+    for (std::size_t base = 0; base < slots.size(); base += kernel_slots()) {
+      fallbacks += interact_slots_avx512(
+          *this, slots.data() + base,
+          std::min(kernel_slots(), slots.size() - base), j, count);
+    }
+    return fallbacks;
   }
 #endif
-  interact_batch_scalar(i_state, j, count);
+  for (IState& s : slots) interact_batch_scalar(s, j, count);
+  return {};
 }
 
 void Pipeline::interact_batch_scalar(IState& i_state, const JWord* j,

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -99,20 +100,40 @@ struct PipelineScaling {
 inline constexpr int kAccumulatorGuardBits = 34;
 
 /// The Native backend quantizes each double interaction onto a finer
-/// accumulator grid (2^-6 of the bit-exact quantum, i.e. 40 effective
-/// guard bits). Quantizing *per interaction* makes the sum independent
-/// of batch and shard boundaries — the property GRAPE-6 bought with
-/// fixed-point accumulators behind its floating pipelines (Makino et
-/// al. 2003) and the reason --boards is bitwise-invariant for Native
-/// too. The rounding noise (~2^-40 of the force scale per interaction)
-/// sits ~4 decades below the coordinate-quantization floor the probe
-/// measures. The price is 6 bits of headroom: the guard range above the
-/// expected per-call maximum shrinks to ~2^23, and a dense enough call
-/// can still reach the rail — a direct sum over a uniform ball of
+/// accumulator grid: 2^-6 of the bit-exact quantum, rounded up to a
+/// power of two (Pipeline::force_accumulator_quantum), i.e. 39 to 40
+/// effective guard bits. Quantizing *per interaction* makes the sum
+/// independent of batch and shard boundaries — the property GRAPE-6
+/// bought with fixed-point accumulators behind its floating pipelines
+/// (Makino et al. 2003) and the reason --boards is bitwise-invariant for
+/// Native too. The rounding noise (~2^-40 of the force scale per
+/// interaction) sits ~4 decades below the coordinate-quantization floor
+/// the probe measures. The price is 5 to 6 bits of headroom (the
+/// power-of-two rounding gives back up to 1): the guard range above the
+/// expected per-call maximum shrinks to ~2^23-2^24, and a dense enough
+/// call can still reach the rail — a direct sum over a uniform ball of
 /// N = 2,159,038 puts the potential count near its centre at 2^62.95,
 /// against the 9e18 ~ 2^62.96 rail (saturation is flagged, see
-/// RawForce::saturated).
+/// RawForce::saturated; that count was measured on the unrounded
+/// quantum).
 inline constexpr int kNativeAccumulatorExtraBits = 6;
+
+/// What the vector Native kernel left to the scalar kernel in one or
+/// more calls: (j, i-slot) interactions it did not carry (a count of
+/// 2^62 or more, a non-finite value, the divergent r^2 == 0 corner),
+/// and (i-slot, fold block) pairs it replayed in stream order because
+/// the block's sum could reach the saturation rail. Both stay zero when
+/// the vector kernel does not run.
+struct NativeFallbacks {
+  std::uint64_t scalar_interactions = 0;
+  std::uint64_t replayed_blocks = 0;
+
+  NativeFallbacks& operator+=(const NativeFallbacks& o) noexcept {
+    scalar_interactions += o.scalar_interactions;
+    replayed_blocks += o.replayed_blocks;
+    return *this;
+  }
+};
 
 /// Derive the accumulator quanta from the coordinate window and the mass
 /// scale (largest |m_j| of the call). The one shared definition of the
@@ -143,30 +164,45 @@ class Pipeline {
   /// One pipeline cycle: accumulate the interaction of one j onto one i.
   void interact(IState& i_state, const JWord& j) const;
 
-  /// Stream a whole j-segment through one pipeline slot: structure-of-
-  /// arrays evaluation in blocks of `batch_width()` lanes, so the fixed-
-  /// point and log-word stages run over arrays the compiler can
-  /// vectorize. For the BitExact backend this applies the identical
-  /// per-interaction operations in the identical accumulation order as
-  /// repeated interact() calls, so the result is bitwise-identical
-  /// (tests/grape_backend_test.cpp pins this across batch shapes). The
-  /// Native backend runs the AVX2 kernel where native_simd() holds,
-  /// bitwise-identical to interact_batch_scalar.
-  void interact_batch(IState& i_state, const JWord* j,
-                      std::size_t count) const;
+  /// Stream a whole j-segment through a set of pipeline slots, each
+  /// loaded by encode_i under the current configuration. For the
+  /// BitExact backend each slot runs interact_batch_scalar: structure-
+  /// of-arrays evaluation in blocks of `batch_width()` lanes that
+  /// applies the identical per-interaction operations in the identical
+  /// accumulation order as repeated interact() calls, so the result is
+  /// bitwise-identical (tests/grape_backend_test.cpp pins this across
+  /// batch shapes). The Native backend runs the vector kernel where
+  /// native_simd() holds: each j is broadcast to up to kernel_slots()
+  /// i-slots at once, as GRAPE-5's virtual pipelines feed one j to
+  /// several i's, bitwise-identical per slot to interact_batch_scalar.
+  /// Returns what the vector kernel handed back to the scalar one.
+  NativeFallbacks interact_batch(std::span<IState> slots, const JWord* j,
+                                 std::size_t count) const;
 
-  /// interact_batch without the SIMD dispatch: the portable kernels
-  /// (batched lns, scalar Native, exact). The 4-wide AVX2 Native kernel
-  /// interact_batch picks on hosts that have it is pinned bitwise to
-  /// this one (tests/grape_backend_test.cpp).
+  /// The single-slot form of interact_batch.
+  void interact_batch(IState& i_state, const JWord* j,
+                      std::size_t count) const {
+    interact_batch(std::span<IState>(&i_state, 1), j, count);
+  }
+
+  /// interact_batch for one slot without the SIMD dispatch: the portable
+  /// kernels (batched lns, scalar Native, exact). The vector Native
+  /// kernel interact_batch picks on hosts that have it is pinned bitwise
+  /// to this one (tests/grape_backend_test.cpp).
   void interact_batch_scalar(IState& i_state, const JWord* j,
                              std::size_t count) const;
 
-  /// True when interact_batch runs the Native backend on the AVX2
-  /// kernel: an x86-64 host with AVX2, and position_bits <= 50 so every
-  /// code difference converts to double exactly through the kernel's
-  /// 1.5 * 2^52 bias.
+  /// True when interact_batch runs the Native backend on the vector
+  /// kernel: an x86-64 host with AVX-512 F/DQ/VL. Elsewhere the Native
+  /// backend runs interact_batch_scalar.
   [[nodiscard]] bool native_simd() const noexcept { return native_simd_; }
+
+  /// i-slots one vector kernel pass carries (one per 64-bit lane of a
+  /// 512-bit register); ProcessorBoard hands the kernel this many i's
+  /// per call.
+  [[nodiscard]] static constexpr std::size_t kernel_slots() noexcept {
+    return 8;
+  }
 
   /// Lane count of the batched kernel's inner loops (a SIMD-register
   /// width worth of independent interactions, not a hardware parameter).
@@ -184,10 +220,16 @@ class Pipeline {
   [[nodiscard]] RawForce read_raw(const IState& i_state) const;
 
   /// The accumulator quanta encode_i actually installs — the scaling's
-  /// quanta for BitExact, 2^-kNativeAccumulatorExtraBits of them for
-  /// Native. RawForce counts convert to doubles by these.
-  [[nodiscard]] double force_accumulator_quantum() const noexcept;
-  [[nodiscard]] double potential_accumulator_quantum() const noexcept;
+  /// quanta for BitExact; for Native, 2^-kNativeAccumulatorExtraBits of
+  /// them rounded up to a power of two, so that x / q equals x * (1/q)
+  /// bitwise and the vector kernel multiplies instead of dividing.
+  /// RawForce counts convert to doubles by these.
+  [[nodiscard]] double force_accumulator_quantum() const noexcept {
+    return force_acc_quantum_;
+  }
+  [[nodiscard]] double potential_accumulator_quantum() const noexcept {
+    return potential_acc_quantum_;
+  }
 
   /// Position quantum of the current window (for diagnostics/tests).
   [[nodiscard]] double position_quantum() const {
@@ -202,6 +244,8 @@ class Pipeline {
   PipelineScaling scaling_;
   math::FixedPointCodec codec_;
   double eps2_ = 0.0;
+  double force_acc_quantum_ = 1.0;
+  double potential_acc_quantum_ = 1.0;
   bool native_simd_ = false;
 
   void interact_exact(IState& i_state, const JWord& j) const;

@@ -13,9 +13,12 @@
 //    r^2 == 0 corner behave identically across the lns, exact and
 //    native paths (the interact_exact bugfix).
 //  * SIMD Native kernel vs the portable scalar one: bitwise-identical
-//    raw registers across ragged tails, large and rail-sized counts,
-//    the divergent corner and registers that start on or near the
-//    saturation rail (skipped on hosts without AVX2).
+//    raw registers for 1 to 9 i-slots per call, across ragged tails,
+//    large and rail-sized counts, the divergent corner and registers
+//    that start on or near the saturation rail (skipped on hosts
+//    without AVX-512 F/DQ/VL), plus the kernel's fallback counts.
+//  * Native accumulator quanta: powers of two just above 2^-6 of the
+//    bit-exact ones, which stay as derived.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +27,8 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <utility>
+#include <span>
 #include <vector>
 
 #include "core/engines.hpp"
@@ -323,6 +328,9 @@ TEST(Backend, NativeProbeReportsVanishingCodecError) {
 
 // ---- SIMD Native kernel vs the portable scalar kernel ----
 
+constexpr const char* kNoVectorKernel =
+    "no AVX-512 F/DQ/VL Native kernel here";
+
 Pipeline native_pipeline(const PipelineScaling& scaling) {
   PipelineNumerics num;
   num.backend = BackendKind::Native;
@@ -336,23 +344,63 @@ bool same_raw(const RawForce& a, const RawForce& b) {
          a.acc[2] == b.acc[2] && a.pot == b.pot && a.saturated == b.saturated;
 }
 
-/// Stream `count` j's from `start` through interact_batch (the SIMD
-/// dispatch) and through interact_batch_scalar; the raw registers must
-/// agree bit for bit. Returns the scalar readout.
+/// `ni` start slots for the multi-slot checks. Slot 0 is `first`, the
+/// case's own start state; every other slot copies its registers at a
+/// distinct position: slot 1 sits on the stream's first j (its i == j
+/// cut fires), slot 2 starts with its registers on the rail, and the
+/// rest sit a few codes off a j further down the stream.
+std::vector<IState> make_slots(const IState& first, const JWord* js,
+                               std::size_t count, std::size_t ni) {
+  std::vector<IState> slots(ni, first);
+  const auto shift = [](IState& st, std::size_t c, std::int64_t by) {
+    st.x[c] = math::Fixed20::from_code(st.x[c].code() + by);
+  };
+  for (std::size_t k = 1; k < ni; ++k) {
+    IState& st = slots[k];
+    if (k == 1 && count > 0) {
+      for (std::size_t c = 0; c < 3; ++c) st.x[c] = js[0].x[c];
+    } else if (k == 2) {
+      shift(st, 1, 1);
+      for (auto& a : st.acc) a.add_counts(math::kAccumulatorRail);
+      st.pot.add_counts(-math::kAccumulatorRail);
+    } else if (count > 0) {
+      for (std::size_t c = 0; c < 3; ++c) {
+        st.x[c] = js[(k * 7919) % count].x[c];
+      }
+      shift(st, 0, static_cast<std::int64_t>(k));
+    } else {
+      shift(st, 2, static_cast<std::int64_t>(k));
+    }
+  }
+  return slots;
+}
+
+/// Stream `count` j's through interact_batch (the SIMD dispatch) over
+/// ni = 1..9 slots from make_slots — one vector pass carries 8, so ni 9
+/// adds a second, one-slot pass — and each slot through
+/// interact_batch_scalar; every slot's raw registers must agree bit for
+/// bit. Returns the scalar readout of slot 0 (the same for every ni).
 RawForce expect_simd_matches_scalar(const Pipeline& pipe, const IState& start,
                                     const JWord* js, std::size_t count) {
-  IState simd = start;
-  IState scalar = start;
-  pipe.interact_batch(simd, js, count);
-  pipe.interact_batch_scalar(scalar, js, count);
-  const RawForce a = pipe.read_raw(simd);
-  const RawForce b = pipe.read_raw(scalar);
-  EXPECT_TRUE(same_raw(a, b))
-      << "count " << count << ": simd (" << a.acc[0] << ", " << a.acc[1]
-      << ", " << a.acc[2] << ", " << a.pot << ", " << a.saturated
-      << ") scalar (" << b.acc[0] << ", " << b.acc[1] << ", " << b.acc[2]
-      << ", " << b.pot << ", " << b.saturated << ")";
-  return b;
+  RawForce first{};
+  for (std::size_t ni = 1; ni <= 9; ++ni) {
+    std::vector<IState> simd = make_slots(start, js, count, ni);
+    std::vector<IState> scalar = simd;
+    pipe.interact_batch(std::span<IState>(simd), js, count);
+    for (IState& st : scalar) pipe.interact_batch_scalar(st, js, count);
+    for (std::size_t k = 0; k < ni; ++k) {
+      const RawForce a = pipe.read_raw(simd[k]);
+      const RawForce b = pipe.read_raw(scalar[k]);
+      EXPECT_TRUE(same_raw(a, b))
+          << "count " << count << " ni " << ni << " slot " << k << ": simd ("
+          << a.acc[0] << ", " << a.acc[1] << ", " << a.acc[2] << ", "
+          << a.pot << ", " << a.saturated << ") scalar (" << b.acc[0] << ", "
+          << b.acc[1] << ", " << b.acc[2] << ", " << b.pot << ", "
+          << b.saturated << ")";
+    }
+    first = pipe.read_raw(scalar[0]);
+  }
+  return first;
 }
 
 /// Largest |count| one interaction of `j` adds to any register of a
@@ -371,10 +419,10 @@ std::int64_t single_count(const Pipeline& pipe, const Vec3d& xi,
 
 TEST(Backend, NativeSimdMatchesScalarAcrossTails) {
   const Pipeline pipe = native_pipeline(test_scaling());
-  if (!pipe.native_simd()) GTEST_SKIP() << "no AVX2 Native kernel here";
+  if (!pipe.native_simd()) GTEST_SKIP() << kNoVectorKernel;
   const Vec3d xi{0.3, -0.2, 0.1};
   // Coincident and near pairs up front, then generic geometry; counts
-  // cover every residue mod 4 and the 256-j fold-block seams.
+  // cover short streams and the 256-j fold-block seams.
   const auto js = make_jset(pipe, xi, 700, 303);
   for (std::size_t count = 0; count <= 9; ++count) {
     expect_simd_matches_scalar(pipe, pipe.encode_i(xi), js.data(), count);
@@ -382,20 +430,21 @@ TEST(Backend, NativeSimdMatchesScalarAcrossTails) {
   for (const std::size_t count : {255u, 256u, 257u, 511u, 513u, 700u}) {
     expect_simd_matches_scalar(pipe, pipe.encode_i(xi), js.data(), count);
   }
-  // Ragged offsets: the stream starting at a non-multiple of 4.
+  // An offset stream.
   expect_simd_matches_scalar(pipe, pipe.encode_i(xi), js.data() + 3, 602);
 }
 
 TEST(Backend, NativeSimdMatchesScalarOnLargeCounts) {
-  // Fine quanta push single-interaction counts past 2^51, beyond one
-  // 1.5 * 2^52 rounding step (the kernel splits them into hi and lo
-  // words), and the nearest pairs past 2^62, where the SIMD kernel
-  // hands the lane to the scalar one.
+  // Fine quanta push single-interaction counts past 2^51, beyond
+  // FixedAccumulator's 1.5 * 2^52 rounding step, and the nearest pairs
+  // past 2^62, where the SIMD kernel hands the interaction to the
+  // scalar one (and counts it). The quanta are not powers of two; the
+  // Native ones round up to 2^-59 and 2^-62, where x * (1/q) is x / q.
   PipelineScaling s = test_scaling();
-  s.force_quantum = 0x1p-53;
-  s.potential_quantum = 0x1p-56;
+  s.force_quantum = 0x1.8p-54;
+  s.potential_quantum = 0x1.8p-57;
   const Pipeline pipe = native_pipeline(s);
-  if (!pipe.native_simd()) GTEST_SKIP() << "no AVX2 Native kernel here";
+  if (!pipe.native_simd()) GTEST_SKIP() << kNoVectorKernel;
   const Vec3d xi{0.25, -0.4, 0.8};
   math::Rng rng(404);
   std::vector<JWord> js;
@@ -423,6 +472,12 @@ TEST(Backend, NativeSimdMatchesScalarOnLargeCounts) {
 
   // The full stream may or may not saturate; either way, bit for bit.
   expect_simd_matches_scalar(pipe, pipe.encode_i(xi), js.data(), js.size());
+  // The past-2^62 interactions went to the scalar kernel, and said so.
+  IState st = pipe.encode_i(xi);
+  const grape::NativeFallbacks fallbacks =
+      pipe.interact_batch(std::span<IState>(&st, 1), js.data(), js.size());
+  EXPECT_GE(fallbacks.scalar_interactions,
+            static_cast<std::uint64_t>(past_62));
   // Short sub-streams, at offsets that hit every lane position.
   for (std::size_t begin = 0; begin < js.size(); begin += 37) {
     const std::size_t count = std::min<std::size_t>(61, js.size() - begin);
@@ -434,7 +489,7 @@ TEST(Backend, NativeSimdMatchesScalarOnLargeCounts) {
 TEST(Backend, NativeSimdMatchesScalarAtTheDivergentCorner) {
   // eps = 0 with coordinates ~1e-160 apart: r^2 underflows to zero for
   // some non-coincident pairs (divergent: infinite counts, saturation)
-  // and stays finite for others, all inside one 4-lane group.
+  // and stays finite for others, all inside one short stream.
   PipelineScaling s;
   s.range_lo = -5e-155;
   s.range_hi = 5e-155;
@@ -442,7 +497,7 @@ TEST(Backend, NativeSimdMatchesScalarAtTheDivergentCorner) {
   s.force_quantum = 1e-18;
   s.potential_quantum = 1e-18;
   const Pipeline pipe = native_pipeline(s);
-  if (!pipe.native_simd()) GTEST_SKIP() << "no AVX2 Native kernel here";
+  if (!pipe.native_simd()) GTEST_SKIP() << kNoVectorKernel;
   const double q = pipe.position_quantum();
   const Vec3d xi{0.0, 0.0, 0.0};
   std::vector<JWord> js;
@@ -466,7 +521,7 @@ TEST(Backend, NativeSimdMatchesScalarAfterALargeScalarLane) {
   s.force_quantum = 0x1p6;  // Native counts in units of 2^-6 of this: 1
   s.potential_quantum = 0x1p26;
   const Pipeline pipe = native_pipeline(s);
-  if (!pipe.native_simd()) GTEST_SKIP() << "no AVX2 Native kernel here";
+  if (!pipe.native_simd()) GTEST_SKIP() << kNoVectorKernel;
   const Vec3d xi{0.0, 0.0, 0.0};
   std::vector<JWord> js = {pipe.encode_j(Vec3d{1.0, 0.0, 0.0}, 8.5e18)};
   for (const double side : {1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0}) {
@@ -490,7 +545,7 @@ TEST(Backend, NativeSimdMatchesScalarFromTheRail) {
   s.force_quantum = 0x1p-40;
   s.potential_quantum = 0x1p-44;
   const Pipeline pipe = native_pipeline(s);
-  if (!pipe.native_simd()) GTEST_SKIP() << "no AVX2 Native kernel here";
+  if (!pipe.native_simd()) GTEST_SKIP() << kNoVectorKernel;
   const Vec3d xi{-0.5, 0.75, 0.2};
   const auto js = make_jset(pipe, xi, 530, 505);
   constexpr std::int64_t kRail = math::kAccumulatorRail;
@@ -512,6 +567,91 @@ TEST(Backend, NativeSimdMatchesScalarFromTheRail) {
   ASSERT_TRUE(pipe.saturated(st));
   const RawForce r = expect_simd_matches_scalar(pipe, st, js.data(), js.size());
   EXPECT_TRUE(r.saturated);
+}
+
+TEST(Backend, NativeSimdCountsNoFallbackOnAGenericStream) {
+  // A unit-ball j-stream on the quanta the driver derives: no count
+  // nears 2^62 and no fold block nears the rail, so the vector kernel
+  // carries every interaction itself.
+  PipelineScaling s = test_scaling();
+  s.range_lo = -2.0;
+  s.range_hi = 2.0;
+  grape::derive_scaling_quanta(s, 1.0 / 4096.0);
+  const Pipeline pipe = native_pipeline(s);
+  if (!pipe.native_simd()) GTEST_SKIP() << kNoVectorKernel;
+  math::Rng rng(606);
+  std::vector<JWord> js;
+  std::vector<IState> slots;
+  for (int k = 0; k < 4096; ++k) {
+    const Vec3d x = rng.in_unit_ball();
+    js.push_back(pipe.encode_j(x, 1.0 / 4096.0));
+    if (k % 97 == 0) slots.push_back(pipe.encode_i(x));
+  }
+  const grape::NativeFallbacks fallbacks =
+      pipe.interact_batch(std::span<IState>(slots), js.data(), js.size());
+  EXPECT_EQ(fallbacks.scalar_interactions, 0u);
+  EXPECT_EQ(fallbacks.replayed_blocks, 0u);
+}
+
+TEST(Backend, NativeSimdMatchesScalarOnFoldedLargeCounts) {
+  // Counts past 2^51, where one ulp of x / q moves the count, in blocks
+  // that fold: the vector kernel's own products and conversions carry
+  // them (no scalar interaction, no replay) and must round bitwise
+  // like the scalar x / q.
+  PipelineScaling s = test_scaling();
+  s.range_lo = -2.0;
+  s.range_hi = 2.0;
+  grape::derive_scaling_quanta(s, 0x1.8p-21);  // quanta not powers of two
+  const Pipeline pipe = native_pipeline(s);
+  if (!pipe.native_simd()) GTEST_SKIP() << kNoVectorKernel;
+  math::Rng rng(707);
+  std::vector<JWord> js;
+  for (int k = 0; k < 600; ++k) {
+    js.push_back(pipe.encode_j(1.9 * rng.in_unit_ball(), 0x1p-12));
+  }
+  const Vec3d xi{1.9, 0.0, 0.0};
+  std::int64_t past_51 = 0;
+  for (const JWord& j : js) {
+    past_51 += single_count(pipe, xi, j) >= (std::int64_t{1} << 51) ? 1 : 0;
+  }
+  ASSERT_GT(past_51, 50);
+  std::vector<IState> slots(9, pipe.encode_i(xi));
+  for (std::size_t k = 1; k < slots.size(); ++k) {
+    slots[k] = pipe.encode_i(
+        xi + Vec3d{0.0, 0.01 * static_cast<double>(k), 0.0});
+  }
+  const grape::NativeFallbacks fallbacks =
+      pipe.interact_batch(std::span<IState>(slots), js.data(), js.size());
+  EXPECT_EQ(fallbacks.scalar_interactions, 0u);
+  EXPECT_EQ(fallbacks.replayed_blocks, 0u);
+  expect_simd_matches_scalar(pipe, pipe.encode_i(xi), js.data(), js.size());
+}
+
+TEST(Backend, NativeQuantaArePowersOfTwo) {
+  // Native installs 2^-6 of each bit-exact quantum rounded up to a
+  // power of two: in [q * 2^-6, q * 2^-5). Bit-exact keeps the derived
+  // quanta as they are.
+  for (const double mass_scale : {1.0, 0.37, 1.0 / 3.0, 0x1p-20, 5e-7}) {
+    PipelineScaling s = test_scaling();
+    grape::derive_scaling_quanta(s, mass_scale);
+    const Pipeline native = native_pipeline(s);
+    Pipeline bitexact{PipelineNumerics{}};
+    bitexact.configure(s);
+    EXPECT_EQ(bitexact.force_accumulator_quantum(), s.force_quantum);
+    EXPECT_EQ(bitexact.potential_accumulator_quantum(), s.potential_quantum);
+    for (const auto& [q, nq] :
+         {std::pair{s.force_quantum, native.force_accumulator_quantum()},
+          std::pair{s.potential_quantum,
+                    native.potential_accumulator_quantum()}}) {
+      int e = 0;
+      EXPECT_EQ(std::frexp(nq, &e), 0.5) << "mass scale " << mass_scale;
+      EXPECT_GE(nq, std::ldexp(q, -6)) << "mass scale " << mass_scale;
+      EXPECT_LT(nq, std::ldexp(q, -5)) << "mass scale " << mass_scale;
+    }
+    const IState st = native.encode_i(Vec3d{0.1, 0.2, 0.3});
+    EXPECT_EQ(st.acc[0].quantum(), native.force_accumulator_quantum());
+    EXPECT_EQ(st.pot.quantum(), native.potential_accumulator_quantum());
+  }
 }
 
 }  // namespace

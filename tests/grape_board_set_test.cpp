@@ -11,6 +11,8 @@
 //     also once accumulator counts pass 2^53;
 //   * the pooled (board, i-block) tiles reproduce the serial loop byte
 //     for byte, HIB accounting included, and keep each i's chip slot;
+//   * the native kernel's fallback counts sum over tiles into the
+//     BoardSet and the registry;
 //   * a capacity error on the AsyncDevice submitter poisons the device
 //     like any other hardware fault.
 
@@ -20,6 +22,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "grape/async_device.hpp"
@@ -27,6 +30,8 @@
 #include "grape/driver.hpp"
 #include "grape/system.hpp"
 #include "ic/uniform.hpp"
+#include "obs/registry.hpp"
+#include "obs/span.hpp"
 #include "util/parallel.hpp"
 
 namespace {
@@ -330,7 +335,8 @@ TEST(BoardSet, TiledEvalMatchesSerialBitwise) {
   // in board order, so the counts — and the HIB traffic, recorded once
   // per board per call — must equal the serial loop's exactly, for lane
   // counts that do and do not divide the tile count, ni from one i to
-  // past the 96 VMP i-slots, and the accumulate-into-nonzero second call.
+  // past the 96 VMP i-slots — around the vector kernel's 8 i per pass
+  // too — and the accumulate-into-nonzero second call.
   const auto src = ic::make_uniform_cube(300, -1.0, 1.0, 1.0, 41);
   std::vector<std::unique_ptr<util::ThreadPool>> pools;
   for (const unsigned lanes : {2u, 3u, 4u, 7u}) {
@@ -339,7 +345,7 @@ TEST(BoardSet, TiledEvalMatchesSerialBitwise) {
   for (const BackendKind backend :
        {BackendKind::BitExact, BackendKind::Native}) {
     for (const std::size_t boards : {1u, 2u, 3u}) {
-      for (const std::size_t ni : {1u, 5u, 40u, 97u, 300u}) {
+      for (const std::size_t ni : {1u, 5u, 7u, 8u, 9u, 17u, 40u, 97u, 300u}) {
         const ChunkedRaw serial =
             chunked_raw(src, boards, backend, ni, nullptr);
         for (const auto& pool : pools) {
@@ -386,6 +392,46 @@ TEST(BoardSet, ChipFaultKeepsSlotUnderTiling) {
     if (on_faulty_chip) ++scaled;
   }
   EXPECT_GT(scaled, 0u);
+}
+
+TEST(BoardSet, NativeFallbacksReachTheRegistry) {
+  // The per-tile kernel fallbacks sum into BoardSet::native_fallbacks()
+  // and, with instrumentation on, into the g5.grape.native.* counters.
+  // On the quanta the particle mass sets, a sphere stream needs no
+  // scalar help; a mass scale 2^12 below it pushes the nearest pairs
+  // past the 2^62 counts the vector kernel carries.
+  const auto src = ic::make_uniform_ball(2048, 1.0, 1.0, 31);
+  constexpr std::size_t kNi = 200;
+  const std::span<const Vec3d> targets(src.pos().data(), kNi);
+  obs::Counter& scalar = obs::counter("g5.grape.native.scalar_interactions");
+  obs::Counter& replayed = obs::counter("g5.grape.native.replayed_blocks");
+  util::ThreadPool pool(3);
+  obs::set_enabled(true);
+  for (const int shift : {0, -12}) {
+    SCOPED_TRACE(::testing::Message() << "mass scale 2^" << shift);
+    Grape5System sys(small_config(2, 2048, BackendKind::Native));
+    sys.set_eval_pool(&pool);
+    sys.set_range(-2.0, 2.0, 0.02, std::ldexp(src.mass()[0], shift));
+    sys.set_j_particles(src.pos(), src.mass());
+    const std::uint64_t scalar_before = scalar.value();
+    const std::uint64_t replayed_before = replayed.value();
+    std::vector<RawForce> raw(kNi);
+    sys.compute_raw(targets, raw);
+    sys.set_eval_pool(nullptr);
+    const grape::NativeFallbacks& f = sys.board_set().native_fallbacks();
+    EXPECT_EQ(scalar.value() - scalar_before, f.scalar_interactions);
+    EXPECT_EQ(replayed.value() - replayed_before, f.replayed_blocks);
+    if (!sys.board(0).pipeline().native_simd()) {
+      EXPECT_EQ(f.scalar_interactions, 0u);
+      EXPECT_EQ(f.replayed_blocks, 0u);
+    } else if (shift == 0) {
+      EXPECT_EQ(f.scalar_interactions, 0u);
+      EXPECT_EQ(f.replayed_blocks, 0u);
+    } else {
+      EXPECT_GT(f.scalar_interactions, 0u);
+    }
+  }
+  obs::set_enabled(false);
 }
 
 TEST(BoardSet, CapacityErrorPoisonsAsyncDevice) {
